@@ -14,13 +14,11 @@
 //! [`ActivityFactors::from_phase`].
 
 use outerspace::energy::{ActivityFactors, AreaPowerModel};
-use outerspace::outer::MergeKind;
 use outerspace::prelude::*;
 use outerspace::sim::engine::{CycleBreakdown, UtilizationShares};
-use outerspace::sim::phases::merge::{self, RowMergeInfo};
-use outerspace::sim::phases::multiply;
+use outerspace::sim::model;
 use outerspace::sim::xmodels::{gpu::row_imbalance, CpuModel, GpuModel};
-use outerspace::sim::PhaseStats;
+use outerspace::sim::{MachineKind, PhaseStats};
 
 use crate::runner::{CaseResult, Runner, RunSummary};
 use crate::{HarnessDefaults, HarnessOpts};
@@ -150,27 +148,12 @@ pub fn run(opts: &HarnessOpts) -> RunSummary {
             println!("{name} ({} nnz):", a.nnz());
 
             // Accelerator: both phases through the engine, with breakdowns.
-            let (mult_stats, layout, mult_bd) =
-                multiply::simulate_multiply_with_breakdown(&cfg, &a_cc, &a)
-                    .expect("fault-free sim cannot fail");
-            let (pp, _) = outerspace::outer::multiply(&a_cc, &a).expect("square");
-            let (c, _) = outerspace::outer::merge(pp, MergeKind::Streaming);
-            let rows: Vec<RowMergeInfo> = (0..layout.nrows())
-                .map(|i| {
-                    let produced: u64 =
-                        layout.row(i).iter().map(|ch| ch.len as u64).sum();
-                    let out = c.row_nnz(i) as u64;
-                    RowMergeInfo {
-                        out_len: out as u32,
-                        collisions: produced.saturating_sub(out) as u32,
-                    }
-                })
-                .collect();
-            let (merge_stats, merge_bd) =
-                merge::simulate_merge_with_breakdown(&cfg, &layout, &rows)
-                    .expect("fault-free sim cannot fail");
-            let mult_row = phase_row(&cfg, "multiply", &mult_stats, &mult_bd);
-            let merge_row = phase_row(&cfg, "merge", &merge_stats, &merge_bd);
+            let pipe = model::for_kind(MachineKind::OuterSpace)
+                .spgemm_preconverted(&cfg, &a_cc, &a)
+                .expect("fault-free sim cannot fail");
+            let mult_row =
+                phase_row(&cfg, "multiply", &pipe.multiply, &pipe.multiply_breakdown);
+            let merge_row = phase_row(&cfg, "merge", &pipe.merge, &pipe.merge_breakdown);
             print_phase(name, &mult_row);
             print_phase(name, &merge_row);
 

@@ -70,8 +70,8 @@ pub use merge::{
 };
 pub use multiply::{multiply, multiply_parallel};
 pub use sparch::{
-    condense, spgemm_sparch, spgemm_sparch_with_plan, CondensedA, CondensedEntry,
-    SparchMergeOp, SparchPlan, DEFAULT_MERGE_WAYS,
+    condense, sparch_structural_plan, spgemm_sparch, spgemm_sparch_with_plan, CondensedA,
+    CondensedEntry, SparchMergeOp, SparchPlan, DEFAULT_MERGE_WAYS,
 };
 pub use spgemm::{
     multiply_only, spgemm, spgemm_arena, spgemm_arena_parallel, spgemm_blocked,

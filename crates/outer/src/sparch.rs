@@ -15,6 +15,8 @@
 //! condensed multiply + merge-tree pipeline, and [`SparchPlan`] records the
 //! stream sizes and the merge schedule so the timing model
 //! (`outerspace_sim::phases::sparch`) replays the very same dataflow.
+//! [`sparch_structural_plan`] builds that plan from the operands' index
+//! structure alone, for callers that take the product from another kernel.
 
 use outerspace_sparse::{ops, Csr, Index, SparseError, Value};
 
@@ -198,9 +200,43 @@ fn stream_to_csr(stream: Stream, nrows: Index, ncols: Index) -> Csr {
     Csr::from_raw_parts_unchecked(nrows, ncols, row_ptr, cols, vals)
 }
 
+/// Runs the Huffman merge policy over `leaves`: while more than one stream
+/// is live, merge the `ways` smallest by `(elements, creation order)`, where
+/// leaves are created in index order and merged runs after them, in the
+/// order they are produced. `merge(inputs, last)` combines the picked
+/// streams, given in selection order; `last` marks the op that leaves a
+/// single stream live. Returns the schedule and the final stream (`None`
+/// without leaves).
+///
+/// Both planners run this one loop, so the functional and the structural
+/// plans cannot drift apart in their selection order.
+fn huffman_schedule<S>(
+    leaves: Vec<S>,
+    ways: usize,
+    elems: impl Fn(&S) -> u64,
+    mut merge: impl FnMut(Vec<S>, bool) -> S,
+) -> (Vec<SparchMergeOp>, Option<S>) {
+    let mut seq = leaves.len();
+    let mut live: Vec<(usize, S)> = leaves.into_iter().enumerate().collect();
+    let mut ops = Vec::new();
+    while live.len() > 1 {
+        live.sort_by_key(|(s, st)| (elems(st), *s));
+        let take = ways.min(live.len());
+        let last = take == live.len();
+        let inputs: Vec<S> = live.drain(..take).map(|(_, st)| st).collect();
+        let input_elems = inputs.iter().map(&elems).collect();
+        let merged = merge(inputs, last);
+        ops.push(SparchMergeOp { input_elems, out_elems: elems(&merged) });
+        live.push((seq, merged));
+        seq += 1;
+    }
+    (ops, live.pop().map(|(_, st)| st))
+}
+
 /// Computes `C = A × B` through the SpArch pipeline with a `ways`-ary merge
 /// tree, returning the product and the dataflow plan the timing model
-/// replays.
+/// replays. This is the SpArch reference model: it builds and merges every
+/// partial-product stream, summing collisions in merge-tree order.
 ///
 /// The scheduler is the Huffman policy: while more than one stream remains,
 /// merge the `ways` smallest (ties broken by creation order). When every
@@ -218,31 +254,13 @@ pub fn spgemm_sparch_with_plan(
     ops::check_spgemm_dims((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))?;
     let ways = ways.max(2);
     let condensed = condense(a);
-    let mut streams: Vec<Stream> =
+    let leaves: Vec<Stream> =
         (0..condensed.width()).map(|k| leaf_stream(condensed.col(k), b)).collect();
-    let leaf_elems: Vec<u64> = streams.iter().map(|s| s.len() as u64).collect();
-    let spilled = streams.len() > ways;
-
-    // Work list of (elements, creation order, stream); the Huffman policy
-    // repeatedly merges the `ways` smallest. Selection sorts by (len, seq)
-    // so the schedule is deterministic.
-    let mut seq = streams.len();
-    let mut live: Vec<(usize, Stream)> = streams.drain(..).enumerate().collect();
-    let mut ops = Vec::new();
-    while live.len() > 1 {
-        live.sort_by_key(|(s, st)| (st.len(), *s));
-        let take = ways.min(live.len());
-        let picked: Vec<(usize, Stream)> = live.drain(..take).collect();
-        let inputs: Vec<Stream> = picked.into_iter().map(|(_, st)| st).collect();
-        let merged = merge_streams(&inputs);
-        ops.push(SparchMergeOp {
-            input_elems: inputs.iter().map(|s| s.len() as u64).collect(),
-            out_elems: merged.len() as u64,
-        });
-        live.push((seq, merged));
-        seq += 1;
-    }
-    let final_stream = live.pop().map(|(_, st)| st).unwrap_or_default();
+    let leaf_elems: Vec<u64> = leaves.iter().map(|s| s.len() as u64).collect();
+    let spilled = leaves.len() > ways;
+    let (ops, final_stream) =
+        huffman_schedule(leaves, ways, |s| s.len() as u64, |inputs, _| merge_streams(&inputs));
+    let final_stream = final_stream.unwrap_or_default();
     let result_nnz = final_stream.len() as u64;
     let c = stream_to_csr(final_stream, a.nrows(), b.ncols());
     let plan = SparchPlan {
@@ -253,6 +271,111 @@ pub fn spgemm_sparch_with_plan(
         result_nnz,
     };
     Ok((c, plan))
+}
+
+/// A live stream of the structural planner: which leaves (condensed
+/// columns, ascending) it holds and how many distinct keys they cover.
+struct LeafSet {
+    leaves: Vec<usize>,
+    elems: u64,
+}
+
+/// Counts the distinct `(row, col)` keys of a set of leaf streams without
+/// building them. Leaf `k` holds the `k`-th non-zero of every row that has
+/// one, so visiting rows by descending population makes the rows a leaf
+/// set touches a prefix; each row's keys are unioned over a column-indexed
+/// stamp array, one epoch per row, cleared only when the epoch wraps.
+struct PatternUnion<'m> {
+    a: &'m Csr,
+    b: &'m Csr,
+    /// Rows of `A`, most populated first.
+    rows: Vec<Index>,
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl<'m> PatternUnion<'m> {
+    fn new(a: &'m Csr, b: &'m Csr) -> Self {
+        let mut rows: Vec<Index> = (0..a.nrows()).collect();
+        rows.sort_by_key(|&r| std::cmp::Reverse(a.row_nnz(r)));
+        PatternUnion { a, b, rows, stamp: vec![0; b.ncols() as usize], epoch: 0 }
+    }
+
+    /// Distinct keys over `leaves` (ascending condensed-column indices).
+    fn count(&mut self, leaves: &[usize]) -> u64 {
+        let Some(&first) = leaves.first() else { return 0 };
+        let a = self.a;
+        let touched = self.rows.partition_point(|&r| a.row_nnz(r) > first);
+        let mut out = 0u64;
+        for &r in &self.rows[..touched] {
+            if self.epoch == u32::MAX {
+                self.stamp.fill(0);
+                self.epoch = 0;
+            }
+            self.epoch += 1;
+            let a_cols = a.row(r).0;
+            for &k in leaves.iter().take_while(|&&k| k < a_cols.len()) {
+                for &c in self.b.row(a_cols[k]).0 {
+                    let slot = &mut self.stamp[c as usize];
+                    if *slot != self.epoch {
+                        *slot = self.epoch;
+                        out += 1;
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Builds the [`SparchPlan`] of `A × B` at a `ways`-ary tree from the
+/// operands' structure alone. The plan equals the one
+/// [`spgemm_sparch_with_plan`] records: the same exact leaf sizes, the same
+/// Huffman schedule, and each op's output counted as the union of its
+/// leaves' key patterns. No values are touched and no streams are built.
+///
+/// The final op merges every leaf, so its output is `nnz(C)`, which the
+/// caller passes as `result_nnz` from the product it already computed. As
+/// in every outer-product merge, a sum that cancels to zero still counts
+/// as an entry.
+///
+/// # Errors
+///
+/// [`SparseError::DimMismatch`] when `a.ncols() != b.nrows()`.
+pub fn sparch_structural_plan(
+    a: &Csr,
+    b: &Csr,
+    ways: usize,
+    result_nnz: u64,
+) -> Result<SparchPlan, SparseError> {
+    ops::check_spgemm_dims((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))?;
+    let ways = ways.max(2);
+    let width = (0..a.nrows()).map(|r| a.row_nnz(r)).max().unwrap_or(0);
+    let mut leaf_elems = vec![0u64; width];
+    for r in 0..a.nrows() {
+        for (k, &j) in a.row(r).0.iter().enumerate() {
+            leaf_elems[k] += b.row_nnz(j) as u64;
+        }
+    }
+    let leaves: Vec<LeafSet> = leaf_elems
+        .iter()
+        .enumerate()
+        .map(|(k, &elems)| LeafSet { leaves: vec![k], elems })
+        .collect();
+    let mut union = PatternUnion::new(a, b);
+    let (ops, final_set) = huffman_schedule(leaves, ways, |s| s.elems, |inputs, last| {
+        let mut leaves: Vec<usize> = inputs.into_iter().flat_map(|s| s.leaves).collect();
+        leaves.sort_unstable();
+        let elems = if last { result_nnz } else { union.count(&leaves) };
+        LeafSet { leaves, elems }
+    });
+    Ok(SparchPlan {
+        condensed_width: width,
+        spilled: width > ways,
+        leaf_elems,
+        ops,
+        result_nnz: final_set.map_or(0, |s| s.elems),
+    })
 }
 
 /// [`spgemm_sparch_with_plan`] at the paper's default 64-way tree,

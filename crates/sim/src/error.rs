@@ -39,6 +39,14 @@ pub enum SimError {
         /// The configured `watchdog_cycles` limit.
         limit: u64,
     },
+    /// A merge row resolves more index collisions than the merge model's
+    /// `u32` per-row counter holds.
+    MergeCountOverflow {
+        /// Result row whose count overflowed.
+        row: u32,
+        /// The collision count that did not fit.
+        collisions: u64,
+    },
     /// An observer's [`poll_abort`](crate::engine::KernelObserver::poll_abort)
     /// hook asked the engine to stop — the DSE dominance early-abort path:
     /// the run's partial lower bound is already Pareto-dominated, so
@@ -67,6 +75,10 @@ impl std::fmt::Display for SimError {
             SimError::WatchdogTimeout { phase, frontier, limit } => write!(
                 f,
                 "{phase} phase: watchdog fired at cycle {frontier} (limit {limit})"
+            ),
+            SimError::MergeCountOverflow { row, collisions } => write!(
+                f,
+                "merge phase: row {row} resolves {collisions} collisions, more than a u32 holds"
             ),
             SimError::Aborted { phase, frontier } => write!(
                 f,
@@ -113,6 +125,8 @@ mod tests {
         assert!(e.to_string().contains("0x40"), "{e}");
         let e = SimError::WatchdogTimeout { phase: "merge", frontier: 10, limit: 5 };
         assert!(e.to_string().contains("watchdog"));
+        let e = SimError::MergeCountOverflow { row: 3, collisions: 1 << 33 };
+        assert!(e.to_string().contains("row 3"), "{e}");
         let e = SimError::Aborted { phase: "multiply", frontier: 42 };
         assert!(e.to_string().contains("early-abort"), "{e}");
         assert!(SimError::AllPesFailed { phase: "multiply" }.to_string().contains("every PE"));

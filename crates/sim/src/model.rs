@@ -20,6 +20,13 @@
 //! stats, and per-class [`CycleBreakdown`]s — so callers can build
 //! [`SimReport`](crate::SimReport)s, energy estimates, and utilization
 //! plots without knowing which machine ran.
+//!
+//! Both machines take the functional result from the software fast path,
+//! the arena multiply plus the cache-blocked merge, which is bit-identical
+//! to the paper's chunk-list + streaming pipeline. The timing models read
+//! only shapes from it: per-row output lengths for the OuterSPACE merge,
+//! `nnz(C)` for the SpArch plan, which is otherwise built from the
+//! operands' structure ([`outer::sparch_structural_plan`]).
 
 use outerspace_outer as outer;
 use outerspace_sparse::{Csc, Csr};
@@ -27,7 +34,6 @@ use outerspace_sparse::{Csc, Csr};
 use crate::config::{MachineKind, OuterSpaceConfig};
 use crate::engine::CycleBreakdown;
 use crate::error::SimError;
-use crate::phases::merge::RowMergeInfo;
 use crate::phases::{convert, merge, multiply, sparch};
 use crate::stats::PhaseStats;
 
@@ -63,8 +69,9 @@ pub trait MachineModel: std::fmt::Debug + Sync {
     ///
     /// # Errors
     ///
-    /// Fault injection only: every PE dead, an access out of retries, or a
-    /// watchdog timeout ([`SimError`]).
+    /// Fault injection: every PE dead, an access out of retries, or a
+    /// watchdog timeout ([`SimError`]); or a merge row with more than
+    /// `u32::MAX` collisions ([`SimError::MergeCountOverflow`]).
     fn spgemm(&self, cfg: &OuterSpaceConfig, a: &Csr, b: &Csr)
         -> Result<SpgemmPipeline, SimError>;
 
@@ -83,6 +90,13 @@ pub trait MachineModel: std::fmt::Debug + Sync {
     ) -> Result<SpgemmPipeline, SimError>;
 }
 
+/// The functional product both machines return: arena multiply plus
+/// cache-blocked merge, summing collisions in `k` order.
+fn functional_product(a_cc: &Csc, b: &Csr) -> Result<Csr, SimError> {
+    let (products, _) = outer::multiply_arena(a_cc, b)?;
+    Ok(outer::merge_arena(&products, outer::MergeKind::Blocked).0)
+}
+
 /// The OuterSPACE pipeline (§4–§5 of the paper).
 #[derive(Debug)]
 pub struct OuterSpaceModel;
@@ -95,24 +109,10 @@ impl OuterSpaceModel {
         b: &Csr,
         convert: Option<PhaseStats>,
     ) -> Result<SpgemmPipeline, SimError> {
-        // Functional execution (the result and per-row merge shapes).
-        let (pp, _) = outer::multiply(a_cc, b)?;
-        let (c, _) = outer::merge(pp, outer::MergeKind::Streaming);
-
-        // Timing.
+        let c = functional_product(a_cc, b)?;
         let (multiply, intermediate, multiply_breakdown) =
             multiply::simulate_multiply_with_breakdown(cfg, a_cc, b)?;
-        let rows: Vec<RowMergeInfo> = (0..intermediate.nrows())
-            .map(|i| {
-                let produced: u64 =
-                    intermediate.row(i).iter().map(|ch| ch.len as u64).sum();
-                let out = c.row_nnz(i) as u64;
-                RowMergeInfo {
-                    out_len: out as u32,
-                    collisions: produced.saturating_sub(out) as u32,
-                }
-            })
-            .collect();
+        let rows = merge::row_merge_infos(&intermediate, &c)?;
         let (merge, merge_breakdown) =
             merge::simulate_merge_with_breakdown(cfg, &intermediate, &rows)?;
         Ok(SpgemmPipeline { c, convert, multiply, merge, multiply_breakdown, merge_breakdown })
@@ -157,11 +157,24 @@ impl MachineModel for OuterSpaceModel {
 pub struct SpArchModel;
 
 impl SpArchModel {
-    fn run(&self, cfg: &OuterSpaceConfig, a: &Csr, b: &Csr) -> Result<SpgemmPipeline, SimError> {
-        // Functional execution records the dataflow plan the timing model
-        // replays: leaf stream sizes plus the Huffman merge schedule.
-        let (c, plan) =
-            outer::spgemm_sparch_with_plan(a, b, cfg.merge_tree_ways as usize)?;
+    /// Runs the pipeline on `a`, given in both row (`a`) and column
+    /// (`a_cc`) form.
+    fn run(
+        &self,
+        cfg: &OuterSpaceConfig,
+        a: &Csr,
+        a_cc: &Csc,
+        b: &Csr,
+    ) -> Result<SpgemmPipeline, SimError> {
+        let c = functional_product(a_cc, b)?;
+        // The dataflow plan the timing model replays: leaf stream sizes
+        // plus the Huffman merge schedule.
+        let plan = outer::sparch_structural_plan(
+            a,
+            b,
+            cfg.merge_tree_ways as usize,
+            c.nnz() as u64,
+        )?;
         let condensed = outer::condense(a);
         let (multiply, multiply_breakdown) =
             sparch::simulate_condensed_multiply(cfg, &condensed, b, &plan)?;
@@ -188,7 +201,7 @@ impl MachineModel for SpArchModel {
         a: &Csr,
         b: &Csr,
     ) -> Result<SpgemmPipeline, SimError> {
-        self.run(cfg, a, b)
+        self.run(cfg, a, &a.to_csc(), b)
     }
 
     fn spgemm_preconverted(
@@ -199,7 +212,7 @@ impl MachineModel for SpArchModel {
     ) -> Result<SpgemmPipeline, SimError> {
         // SpArch condenses CSR directly; a CC operand is simply handed back
         // in row form (no phase is charged either way).
-        self.run(cfg, &a_cc.to_csr(), b)
+        self.run(cfg, &a_cc.to_csr(), a_cc, b)
     }
 }
 
@@ -217,7 +230,7 @@ pub fn for_kind(kind: MachineKind) -> &'static dyn MachineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use outerspace_gen::uniform;
+    use outerspace_gen::{rmat, uniform};
     use outerspace_sparse::ops;
 
     #[test]
@@ -233,6 +246,35 @@ mod tests {
             assert!(pipe.c.approx_eq(&want, 1e-9), "{kind} product diverged");
             assert!(pipe.multiply.cycles > 0);
             assert!(pipe.merge.cycles > 0);
+        }
+    }
+
+    #[test]
+    fn outerspace_product_is_bitwise_the_paper_pipeline() {
+        let sim = crate::Simulator::new(OuterSpaceConfig::default()).unwrap();
+        for seed in [37, 38] {
+            let a = uniform::matrix(96, 80, 700, seed);
+            let b = uniform::matrix(80, 72, 600, seed + 100);
+            let (c, _) = sim.spgemm(&a, &b).unwrap();
+            assert_eq!(c, outer::spgemm(&a, &b).unwrap(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn sparch_product_matches_the_reference_model_up_to_summation_order() {
+        let cfg = OuterSpaceConfig { machine: MachineKind::SpArch, ..Default::default() };
+        let sim = crate::Simulator::new(cfg).unwrap();
+        for (a, b) in [
+            (uniform::matrix(96, 80, 900, 39), uniform::matrix(80, 72, 800, 40)),
+            (rmat::graph500(128, 1500, 41), rmat::graph500(128, 1500, 42)),
+        ] {
+            let (c, _) = sim.spgemm(&a, &b).unwrap();
+            let want = outer::spgemm_sparch(&a, &b).unwrap();
+            assert_eq!(c.row_ptr(), want.row_ptr());
+            assert_eq!(c.col_indices(), want.col_indices());
+            for (&got, &exp) in c.values().iter().zip(want.values()) {
+                assert!((got - exp).abs() <= 1e-12 * exp.abs(), "{got} vs {exp}");
+            }
         }
     }
 

@@ -17,7 +17,7 @@ use outerspace_sparse::Csr;
 use crate::config::OuterSpaceConfig;
 use crate::error::SimError;
 use crate::layout::IntermediateLayout;
-use crate::phases::merge::{simulate_merge, RowMergeInfo};
+use crate::phases::merge::{row_merge_infos, simulate_merge};
 use crate::stats::PhaseStats;
 
 /// Simulates an N-way element-wise combination of `mats` (all equal shape),
@@ -25,8 +25,9 @@ use crate::stats::PhaseStats;
 ///
 /// # Errors
 ///
-/// Fault injection only: every PE dead, an access out of retries, or a
-/// watchdog timeout ([`SimError`]). Fault-free configurations cannot fail.
+/// Fault injection: every PE dead, an access out of retries, or a watchdog
+/// timeout ([`SimError`]); or a row with more than `u32::MAX` collisions
+/// ([`SimError::MergeCountOverflow`]).
 ///
 /// # Panics
 ///
@@ -55,16 +56,7 @@ pub fn simulate_elementwise(
             }
         }
     }
-    let rows: Vec<RowMergeInfo> = (0..first.nrows())
-        .map(|i| {
-            let produced: u64 = mats.iter().map(|m| m.row_nnz(i) as u64).sum();
-            let out_len = out.row_nnz(i) as u64;
-            RowMergeInfo {
-                out_len: out_len as u32,
-                collisions: produced.saturating_sub(out_len) as u32,
-            }
-        })
-        .collect();
+    let rows = row_merge_infos(&layout, out)?;
     simulate_merge(cfg, &layout, &rows)
 }
 

@@ -19,6 +19,8 @@
 //! the shared loop in [`crate::engine`] owns worker dispatch, fault hooks
 //! and stat collection.
 
+use outerspace_sparse::Csr;
+
 use crate::config::OuterSpaceConfig;
 use crate::engine::{self, Batch, CycleBreakdown, Feedback, PeCtx, PhaseKernel, Step};
 use crate::error::SimError;
@@ -37,6 +39,37 @@ pub struct RowMergeInfo {
     pub out_len: u32,
     /// Index collisions accumulated while merging this row.
     pub collisions: u32,
+}
+
+/// Per-row merge shapes of `layout` given the merged result `c`: each row's
+/// output length, and its collisions as the elements the layout holds for
+/// the row minus that length.
+///
+/// # Errors
+///
+/// [`SimError::MergeCountOverflow`] when a row's collisions exceed `u32`.
+///
+/// # Panics
+///
+/// Panics if `c` and `layout` disagree on the row count.
+pub fn row_merge_infos(
+    layout: &IntermediateLayout,
+    c: &Csr,
+) -> Result<Vec<RowMergeInfo>, SimError> {
+    assert_eq!(c.nrows(), layout.nrows(), "result rows must align with the layout");
+    (0..layout.nrows())
+        .map(|i| {
+            let out_len = u32::try_from(c.row_nnz(i))
+                .ok()
+                .filter(|&n| n <= c.ncols())
+                .expect("a CSR row holds at most ncols entries");
+            let produced: u64 = layout.row(i).iter().map(|ch| u64::from(ch.len)).sum();
+            let excess = produced.saturating_sub(u64::from(out_len));
+            let collisions = u32::try_from(excess)
+                .map_err(|_| SimError::MergeCountOverflow { row: i, collisions: excess })?;
+            Ok(RowMergeInfo { out_len, collisions })
+        })
+        .collect()
 }
 
 /// One merge pass on one worker pair: stream `chunks` in, sort, write
@@ -253,30 +286,41 @@ mod tests {
     use super::*;
     use crate::phases::multiply::simulate_multiply;
     use outerspace_gen::uniform;
-    use outerspace_outer::{merge, multiply, MergeKind};
 
-    /// Runs the functional pipeline and derives per-row merge info.
-    fn setup(n: u32, nnz: usize, seed: u64) -> (IntermediateLayout, Vec<RowMergeInfo>) {
-        let a = uniform::matrix(n, n, nnz, seed);
+    /// Simulates the multiply phase of `a × a` and derives per-row merge
+    /// info from the product.
+    fn layout_and_rows(a: &Csr) -> (IntermediateLayout, Vec<RowMergeInfo>) {
         let cfg = OuterSpaceConfig::default();
-        let (_, layout) = simulate_multiply(&cfg, &a.to_csc(), &a).unwrap();
-        let (pp, _) = multiply(&a.to_csc(), &a).unwrap();
-        let (c, _) = merge(pp, MergeKind::Streaming);
-        let rows = row_infos(&layout, &c);
+        let (_, layout) = simulate_multiply(&cfg, &a.to_csc(), a).unwrap();
+        let (c, _) = outerspace_outer::spgemm_blocked(a, a).unwrap();
+        let rows = row_merge_infos(&layout, &c).unwrap();
         (layout, rows)
     }
 
-    fn row_infos(
-        layout: &IntermediateLayout,
-        c: &outerspace_sparse::Csr,
-    ) -> Vec<RowMergeInfo> {
-        (0..layout.nrows())
-            .map(|i| {
-                let e: u64 = layout.row(i).iter().map(|ch| ch.len as u64).sum();
-                let out = c.row_nnz(i) as u32;
-                RowMergeInfo { out_len: out, collisions: (e as u32).saturating_sub(out) }
-            })
-            .collect()
+    fn setup(n: u32, nnz: usize, seed: u64) -> (IntermediateLayout, Vec<RowMergeInfo>) {
+        layout_and_rows(&uniform::matrix(n, n, nnz, seed))
+    }
+
+    #[test]
+    fn row_infos_split_produced_elements_into_output_and_collisions() {
+        let (layout, rows) = setup(64, 800, 4);
+        for (i, info) in rows.iter().enumerate() {
+            let produced: u64 = layout.row(i as u32).iter().map(|ch| u64::from(ch.len)).sum();
+            assert_eq!(u64::from(info.out_len) + u64::from(info.collisions), produced);
+        }
+    }
+
+    #[test]
+    fn collision_overflow_is_a_typed_error() {
+        // Two chunks whose lengths sum past u32::MAX in one row; the layout
+        // stores only chunk references, so no element memory is needed.
+        let mut layout = IntermediateLayout::new(2);
+        layout.alloc_chunk(1, u32::MAX);
+        layout.alloc_chunk(1, 2);
+        let c = Csr::zero(2, 4);
+        let err = row_merge_infos(&layout, &c).unwrap_err();
+        let want = SimError::MergeCountOverflow { row: 1, collisions: u64::from(u32::MAX) + 2 };
+        assert_eq!(err, want);
     }
 
     #[test]
@@ -310,11 +354,8 @@ mod tests {
         }
         let a = coo.to_csr();
         let cfg = OuterSpaceConfig::default();
-        let (_, layout) = simulate_multiply(&cfg, &a.to_csc(), &a).unwrap();
+        let (layout, rows) = layout_and_rows(&a);
         assert!(layout.row(0).len() > cfg.merge_head_capacity());
-        let (pp, _) = multiply(&a.to_csc(), &a).unwrap();
-        let (c, _) = merge(pp, MergeKind::Streaming);
-        let rows = row_infos(&layout, &c);
         let stats = simulate_merge(&cfg, &layout, &rows).unwrap();
         // Sub-merge passes re-read intermediate data: traffic must exceed a
         // single pass over the arena.
@@ -361,10 +402,7 @@ mod tests {
         }
         let a = coo.to_csr();
         let cfg = OuterSpaceConfig::default();
-        let (_, layout) = simulate_multiply(&cfg, &a.to_csc(), &a).unwrap();
-        let (pp, _) = multiply(&a.to_csc(), &a).unwrap();
-        let (c, _) = merge(pp, MergeKind::Streaming);
-        let rows = row_infos(&layout, &c);
+        let (layout, rows) = layout_and_rows(&a);
         let (stats, bd) = simulate_merge_with_breakdown(&cfg, &layout, &rows).unwrap();
         assert_eq!(bd.pe_class, "merge_worker");
         assert_eq!(bd.n_pes, 64);

@@ -183,11 +183,12 @@ pub(crate) struct TreeOpItem {
 /// Engine kernel replaying a [`SparchPlan`]'s Huffman schedule on one
 /// merge-tree unit.
 ///
-/// The scheduler state is reconstructed exactly as the functional planner
-/// built it: live streams ordered by `(elements, creation order)`, the
-/// `ways` smallest merged first. Leaf streams sit in the intermediate arena
-/// (when spilled), intermediate runs bounce through the scratch arena, and
-/// the final op writes the result matrix.
+/// The scheduler state is reconstructed exactly as the planner built it
+/// (`outer::sparch_structural_plan` and the functional reference model
+/// record the same plan): live streams ordered by `(elements, creation
+/// order)`, the `ways` smallest merged first. Leaf streams sit in the
+/// intermediate arena (when spilled), intermediate runs bounce through the
+/// scratch arena, and the final op writes the result matrix.
 #[derive(Debug)]
 pub(crate) struct MergeTreeKernel<'a> {
     plan: &'a SparchPlan,
@@ -259,7 +260,7 @@ impl PhaseKernel for MergeTreeKernel<'_> {
         debug_assert_eq!(
             picked.iter().map(|&(_, e, _)| e).sum::<u64>(),
             op.input_elems.iter().sum::<u64>(),
-            "timing replay diverged from the functional schedule"
+            "timing replay diverged from the planned schedule"
         );
         let in_elems: u64 = picked.iter().map(|&(_, e, _)| e).sum();
         let reads = picked

@@ -31,13 +31,17 @@ fn profile_interval_components() {
     for machine in [MachineKind::OuterSpace, MachineKind::SpArch] {
         for (name, a) in &mats {
             let cfg = OuterSpaceConfig { machine, ..OuterSpaceConfig::default() };
-            let (_, func_ms) = time(|| {
+            // The functional product both models run, and the structural
+            // SpArch plan built from it.
+            let (c, func_ms) = time(|| {
                 let (a_cc, _) = outer::csr_to_csc_via_outer(a);
-                let (pp, _) = outer::multiply(&a_cc, a).unwrap();
-                outer::merge(pp, outer::MergeKind::Streaming)
+                let (products, _) = outer::multiply_arena(&a_cc, a).unwrap();
+                outer::merge_arena(&products, outer::MergeKind::Blocked).0
             });
-            let (_, sparch_plan_ms) =
-                time(|| outer::spgemm_sparch_with_plan(a, a, 16).unwrap());
+            let ways = cfg.merge_tree_ways as usize;
+            let (_, sparch_plan_ms) = time(|| {
+                outer::sparch_structural_plan(a, a, ways, c.nnz() as u64).unwrap()
+            });
             let (full, full_ms) =
                 time(|| outerspace_sim::model::for_kind(machine).spgemm(&cfg, a, a).unwrap());
             let (est, est_ms) =
