@@ -16,6 +16,11 @@ cargo build --release --offline
 echo "==> test suite"
 cargo test -q --offline
 
+echo "==> perfbench build + self-tests (its own workspace, outside the root one)"
+# The root build and tests above never compile perfbench, so an API change
+# in a crate it uses could break the benchmark silently.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> clippy (warnings are errors)"
 cargo clippy --offline --all-targets -- -D warnings
 

@@ -59,10 +59,10 @@ pub fn run(opts: &HarnessOpts) -> RunSummary {
             // excluded, matching the figure's caption).
             let a_cc = a.to_csc();
             let t0 = Instant::now();
-            let (pp, _) = outerspace::outer::multiply_parallel(&a_cc, &b, 6).expect("shapes ok");
+            let (ap, _) = outerspace::outer::multiply_parallel(&a_cc, &b, 6).expect("shapes ok");
             let t_mult = t0.elapsed().as_secs_f64();
             let t1 = Instant::now();
-            let _ = outerspace::outer::merge_parallel(pp, MergeKind::Streaming, 6);
+            let _ = outerspace::outer::merge_parallel(&ap, MergeKind::Streaming, 6);
             let t_merge = t1.elapsed().as_secs_f64();
 
             // MKL analog on the host.

@@ -4,11 +4,10 @@
 //! Unlike the figure harnesses (which reproduce the paper's *relative*
 //! results), this harness watches the absolute speed of the `outer` and
 //! `baselines` hot paths that `ospace serve` executes per request: the
-//! multiply phase (chunk-list vs arena), the merge phase (streaming vs
-//! sort vs cache-blocked, timed in isolation on a once-built arena
-//! intermediate), and the end-to-end SpGEMM drivers. Each kernel ×
-//! workload cell is timed with warmup, repetition, and median-of-k
-//! reporting.
+//! multiply phase into the arena intermediate, the merge phase (streaming
+//! vs sort vs cache-blocked, timed in isolation on a once-built arena),
+//! and the end-to-end SpGEMM drivers. Each kernel × workload cell is timed
+//! with warmup, repetition, and median-of-k reporting.
 //!
 //! Every run appends one entry to `<out>/BENCH_kernels.json` (JSONL via
 //! [`outerspace_json::dump::append_jsonl`], so concurrent/interrupted
@@ -24,8 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use outerspace::outer::{
-    merge_arena, multiply, multiply_arena, spgemm_arena, spgemm_arena_parallel,
-    spgemm_blocked, spgemm_with_stats, ArenaProducts, MergeKind,
+    merge, multiply, spgemm, spgemm_parallel, spgemm_with_stats, ArenaProducts, MergeKind,
 };
 use outerspace::prelude::*;
 
@@ -180,7 +178,7 @@ fn build_cells(opts: &HarnessOpts) -> Vec<CellSpec> {
         let a = Arc::new(a);
         let b = Arc::new(b);
         let a_cc: Arc<Csc> = Arc::new(a.to_csc());
-        let (ap, _) = multiply_arena(&a_cc, &b).expect("square operands");
+        let (ap, _) = multiply(&a_cc, &b).expect("square operands");
         let ap = Arc::new(ap);
 
         let spec = |kernel: &'static str, body: Box<dyn Fn() + Send + Sync>| CellSpec {
@@ -190,16 +188,9 @@ fn build_cells(opts: &HarnessOpts) -> Vec<CellSpec> {
         };
         let (ac, bb) = (a_cc.clone(), b.clone());
         cells.push(spec(
-            "multiply_chunklist",
-            Box::new(move || {
-                std::hint::black_box(multiply(&ac, &bb).expect("square operands"));
-            }),
-        ));
-        let (ac, bb) = (a_cc.clone(), b.clone());
-        cells.push(spec(
             "multiply_arena",
             Box::new(move || {
-                std::hint::black_box(multiply_arena(&ac, &bb).expect("square operands"));
+                std::hint::black_box(multiply(&ac, &bb).expect("square operands"));
             }),
         ));
         for (kernel, kind) in [
@@ -211,7 +202,7 @@ fn build_cells(opts: &HarnessOpts) -> Vec<CellSpec> {
             cells.push(spec(
                 kernel,
                 Box::new(move || {
-                    std::hint::black_box(merge_arena(&ap, kind));
+                    std::hint::black_box(merge(&*ap, kind));
                 }),
             ));
         }
@@ -226,25 +217,16 @@ fn build_cells(opts: &HarnessOpts) -> Vec<CellSpec> {
         ));
         let (aa, bb) = (a.clone(), b.clone());
         cells.push(spec(
-            "spgemm_outer_arena",
-            Box::new(move || {
-                std::hint::black_box(
-                    spgemm_arena(&aa, &bb, MergeKind::Streaming).expect("square"),
-                );
-            }),
-        ));
-        let (aa, bb) = (a.clone(), b.clone());
-        cells.push(spec(
             "spgemm_outer_blocked",
             Box::new(move || {
-                std::hint::black_box(spgemm_blocked(&aa, &bb).expect("square"));
+                std::hint::black_box(spgemm(&aa, &bb).expect("square"));
             }),
         ));
         let (aa, bb) = (a.clone(), b.clone());
         cells.push(spec(
             "spgemm_outer_ws_par",
             Box::new(move || {
-                std::hint::black_box(spgemm_arena_parallel(&aa, &bb, THREADS).expect("square"));
+                std::hint::black_box(spgemm_parallel(&aa, &bb, THREADS).expect("square"));
             }),
         ));
         let (aa, bb) = (a.clone(), b.clone());
@@ -268,12 +250,6 @@ fn median_of(rows: &[CellRow], cell: &str) -> Option<f64> {
 fn speedups(rows: &[CellRow]) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     for workload in ["uniform", "rmat", "banded"] {
-        if let (Some(base), Some(fast)) = (
-            median_of(rows, &format!("{workload}/multiply_chunklist")),
-            median_of(rows, &format!("{workload}/multiply_arena")),
-        ) {
-            out.push((format!("multiply_arena_vs_chunklist/{workload}"), base / fast));
-        }
         if let (Some(base), Some(fast)) = (
             median_of(rows, &format!("{workload}/merge_streaming")),
             median_of(rows, &format!("{workload}/merge_blocked")),
@@ -677,14 +653,13 @@ mod tests {
             pinned: false,
         };
         let rows = vec![
-            mk("uniform/multiply_chunklist", 2.0),
             mk("uniform/multiply_arena", 1.0),
             mk("uniform/merge_streaming", 3.0),
             mk("uniform/merge_blocked", 1.5),
+            mk("rmat/merge_streaming", 2.0),
         ];
         let s = speedups(&rows);
-        assert_eq!(s.len(), 2);
-        assert!((s[0].1 - 2.0).abs() < 1e-12);
-        assert!((s[1].1 - 2.0).abs() < 1e-12);
+        // Only complete pairs count: rmat lacks its blocked cell.
+        assert_eq!(s, [("merge_blocked_vs_streaming/uniform".to_string(), 2.0)]);
     }
 }

@@ -61,7 +61,11 @@ pub fn spgemm_impls() -> Vec<SpgemmImpl> {
     vec![
         SpgemmImpl {
             name: "outer_streaming",
-            run: |a, b| outer::spgemm(a, b).map_err(err),
+            run: |a, b| {
+                outer::spgemm_with_stats(a, b, outer::MergeKind::Streaming)
+                    .map(|(c, _)| c)
+                    .map_err(err)
+            },
         },
         SpgemmImpl {
             name: "outer_sort",
@@ -72,35 +76,17 @@ pub fn spgemm_impls() -> Vec<SpgemmImpl> {
             },
         },
         SpgemmImpl {
-            name: "outer_par",
-            run: |a, b| {
-                outer::spgemm_parallel(a, b, PAR_THREADS).map(|(c, _)| c).map_err(err)
-            },
-        },
-        SpgemmImpl {
             name: "outer_cc",
             run: |a, b| outer::spgemm_cc(a, b).map(|c| c.to_csr()).map_err(err),
         },
         SpgemmImpl {
-            name: "outer_arena",
-            run: |a, b| {
-                // Arena intermediate, streaming merge — isolates the arena
-                // multiply from the blocked merge.
-                outer::spgemm_arena(a, b, outer::MergeKind::Streaming)
-                    .map(|(c, _)| c)
-                    .map_err(err)
-            },
-        },
-        SpgemmImpl {
             name: "outer_blocked",
-            run: |a, b| outer::spgemm_blocked(a, b).map(|(c, _)| c).map_err(err),
+            run: |a, b| outer::spgemm(a, b).map_err(err),
         },
         SpgemmImpl {
             name: "outer_ws_par",
             run: |a, b| {
-                outer::spgemm_arena_parallel(a, b, PAR_THREADS)
-                    .map(|(c, _)| c)
-                    .map_err(err)
+                outer::spgemm_parallel(a, b, PAR_THREADS).map(|(c, _)| c).map_err(err)
             },
         },
         SpgemmImpl {
@@ -291,7 +277,7 @@ mod tests {
     fn filter_rejects_unknown_names() {
         assert!(filter_impls(spgemm_impls(), Some("outer_streaming,cusp_esc")).unwrap().len() == 2);
         assert!(filter_impls(spgemm_impls(), Some("nope")).is_err());
-        assert_eq!(filter_impls(spgemm_impls(), None).unwrap().len(), 16);
+        assert_eq!(filter_impls(spgemm_impls(), None).unwrap().len(), 14);
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Flat arena storage for the multiply-phase intermediate.
+//! The intermediate partial-product structure of Fig. 2, in flat arena form.
 //!
-//! [`crate::PartialProducts`] mirrors the paper's Fig. 2 linked lists
-//! directly: every chunk owns two heap-allocated `Vec`s and every row owns a
-//! `Vec` of chunks. That layout is faithful but slow in software — a
-//! multiply phase performs one allocator round-trip per chunk (millions for
-//! realistic inputs) and scatters chunk payloads across the heap, so the
-//! merge phase chases pointers instead of streaming.
+//! The multiply phase emits, for every result row `i`, a list of *chunks* —
+//! each chunk is the contribution of one outer product to that row: the
+//! paired row-of-`B` scaled by one non-zero of the column-of-`A`. Chunks are
+//! contiguous runs of column-index/value pairs, already sorted by column
+//! (they inherit the order of the source row-of-`B`); the per-row list
+//! corresponds to the paper's linked list hanging off the row pointer `R_i`.
+//! Because each producer appends whole chunks, processing units never
+//! synchronize on element granularity — the property OuterSPACE exploits
+//! for lock-free multiply-phase writes.
 //!
-//! [`ArenaProducts`] stores the same information in four flat arrays:
+//! [`ArenaProducts`] stores those lists in four flat arrays instead of one
+//! heap allocation per chunk:
 //!
 //! ```text
 //! cols/vals        all chunk payloads, grouped by result row, chunks in
@@ -16,28 +20,18 @@
 //! row_chunk_ptr[i] chunk index where row i's chunks start (len nrows+1)
 //! ```
 //!
-//! [`multiply_arena`] builds it in two passes over the operands: pass 1
-//! counts chunks and entries per result row (touching only the index
-//! arrays), pass 2 writes every scaled payload into its pre-computed slot.
-//! Total allocations for the whole phase: six, regardless of input size.
-//! The layout is exactly the sequential fill order, so
-//! [`multiply_arena_parallel`] can reconstruct a **byte-identical** arena
-//! from per-worker shards by replaying them in k order — the determinism
-//! property the concurrency regression tests pin.
+//! Row `i`'s linked list survives as [`ArenaProducts::row_chunk_slices`].
+//! [`ArenaBuilder`] fills the layout in two passes — count every chunk,
+//! then place every chunk in the same order — so a whole multiply phase
+//! costs six allocations regardless of input size (see [`crate::multiply`]).
 
-use outerspace_sparse::{Csc, Csr, Index, SparseError, Value};
+use outerspace_sparse::{Index, Value};
 
-use crate::chunks::{MultiplyStats, PartialProducts};
-use crate::worksteal::WorkStealQueues;
-
-/// Outer products per work-stealing batch in
-/// [`multiply_arena_parallel`]. Coarse enough to amortize queue traffic,
-/// fine enough that a dense column cannot serialize the tail.
-const MULTIPLY_GRAIN: u32 = 8;
-
-/// The multiply phase's output in flat arena form. Semantically identical
-/// to [`PartialProducts`] (same chunks, same per-row order); only the
-/// storage differs. See the module docs for the layout.
+/// The multiply phase's output: for every result row, the chunks to be
+/// merged, in k-ascending order. See the module docs for the layout.
+///
+/// In CC mode the same structure is indexed by result *column*; the merge
+/// code is agnostic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArenaProducts {
     nrows: Index,
@@ -64,7 +58,7 @@ impl ArenaProducts {
         self.cols.len()
     }
 
-    /// Total number of chunks.
+    /// Total number of chunks (the paper's linked-list node count).
     pub fn total_chunks(&self) -> usize {
         self.chunk_ptr.len() - 1
     }
@@ -79,8 +73,7 @@ impl ArenaProducts {
     }
 
     /// The `(cols, vals)` slice pair of every chunk contributing to row
-    /// `i`, in the same order [`PartialProducts::row_chunks`] would list
-    /// them (k-ascending).
+    /// `i`, in k-ascending order: Fig. 2's linked list for `R_i`.
     ///
     /// # Panics
     ///
@@ -98,40 +91,18 @@ impl ArenaProducts {
         })
     }
 
-    /// Memory footprint in bytes: 12 B per stored element plus 8 B per
-    /// chunk pointer and 8 B per row pointer. Comparable to
-    /// [`PartialProducts::memory_footprint_bytes`] but with 8 B of chunk
-    /// bookkeeping instead of 16 B — the arena needs no separate
-    /// length/capacity words.
+    /// Memory footprint in bytes: 12 B per stored element (8 B value +
+    /// 4 B index) plus 8 B per chunk pointer and 8 B per row pointer — the
+    /// `α·N + β·N²·r + γ·N³·r²` structure of §5.5 made concrete.
     pub fn memory_footprint_bytes(&self) -> usize {
         self.cols.len() * 12 + self.chunk_ptr.len() * 8 + self.row_chunk_ptr.len() * 8
-    }
-
-    /// Converts the linked-list representation into arena form (same
-    /// chunks, same order). Used by tests and by callers that built a
-    /// [`PartialProducts`] incrementally.
-    pub fn from_partial_products(pp: &PartialProducts) -> ArenaProducts {
-        let nrows = pp.nrows();
-        let mut builder = ArenaBuilder::new(nrows, pp.ncols());
-        for i in 0..nrows {
-            for chunk in pp.row_chunks(i) {
-                builder.count_chunk(i, chunk.len());
-            }
-        }
-        builder.seal_counts();
-        for i in 0..nrows {
-            for chunk in pp.row_chunks(i) {
-                builder.place_chunk(i, &chunk.cols, |dst| dst.copy_from_slice(&chunk.vals));
-            }
-        }
-        builder.finish()
     }
 }
 
 /// Two-pass arena construction: count every chunk, seal the layout, then
-/// place every chunk in the *same order*. Shared by the sequential build,
-/// the parallel reconstruction, and `from_partial_products`.
-struct ArenaBuilder {
+/// place every chunk in the *same order*. Shared by the sequential build
+/// and the parallel reconstruction.
+pub(crate) struct ArenaBuilder {
     nrows: Index,
     ncols: Index,
     /// Pass 1: chunks per row. After `seal_counts`: next chunk slot per row.
@@ -145,7 +116,7 @@ struct ArenaBuilder {
 }
 
 impl ArenaBuilder {
-    fn new(nrows: Index, ncols: Index) -> ArenaBuilder {
+    pub(crate) fn new(nrows: Index, ncols: Index) -> ArenaBuilder {
         ArenaBuilder {
             nrows,
             ncols,
@@ -158,14 +129,14 @@ impl ArenaBuilder {
         }
     }
 
-    fn count_chunk(&mut self, i: Index, len: usize) {
+    pub(crate) fn count_chunk(&mut self, i: Index, len: usize) {
         self.row_chunk_cursor[i as usize] += 1;
         self.row_entry_cursor[i as usize] += len;
     }
 
     /// Turns the per-row counts into start cursors and allocates the whole
     /// arena — the only data-sized allocations of the build.
-    fn seal_counts(&mut self) {
+    pub(crate) fn seal_counts(&mut self) {
         let nrows = self.nrows as usize;
         self.row_chunk_ptr = Vec::with_capacity(nrows + 1);
         self.row_chunk_ptr.push(0);
@@ -188,7 +159,7 @@ impl ArenaBuilder {
     /// Places one chunk into row `i`'s next slot: copies `src_cols` and
     /// lets `fill_vals` write the values in place (so the multiply phase
     /// scales straight into the arena with no bounce buffer).
-    fn place_chunk<F: FnOnce(&mut [Value])>(
+    pub(crate) fn place_chunk<F: FnOnce(&mut [Value])>(
         &mut self,
         i: Index,
         src_cols: &[Index],
@@ -205,7 +176,7 @@ impl ArenaBuilder {
         fill_vals(&mut self.vals[start..end]);
     }
 
-    fn finish(self) -> ArenaProducts {
+    pub(crate) fn finish(self) -> ArenaProducts {
         debug_assert_eq!(self.row_chunk_cursor.last(), self.row_chunk_ptr.last());
         ArenaProducts {
             nrows: self.nrows,
@@ -218,191 +189,37 @@ impl ArenaBuilder {
     }
 }
 
-/// Runs the multiply phase sequentially into an arena: same chunks and
-/// identical [`MultiplyStats`] as [`crate::multiply`], two passes over the
-/// operands, six allocations total.
-///
-/// # Errors
-///
-/// Returns [`SparseError::ShapeMismatch`] if `a.ncols() != b.nrows()`.
-pub fn multiply_arena(
-    a: &Csc,
-    b: &Csr,
-) -> Result<(ArenaProducts, MultiplyStats), SparseError> {
-    outerspace_sparse::ops::check_spgemm_dims(
-        (a.nrows(), a.ncols()),
-        (b.nrows(), b.ncols()),
-    )?;
-    let mut builder = ArenaBuilder::new(a.nrows(), b.ncols());
-    // Pass 1: only the index arrays are touched — column row-lists of A and
-    // row lengths of B — so the counting sweep is cheap relative to pass 2.
+/// Test support: Fig. 2's per-row chunk lists built the naive way, one
+/// owned `(cols, vals)` pair per chunk — for every `k` in ascending order,
+/// each non-zero `a_ik` of column `k` of `A` appends `a_ik · B[k,:]` to row
+/// `i`'s list (skipping empty rows of `B`). The reference the arena and the
+/// merges are held to.
+#[cfg(test)]
+pub(crate) fn reference_chunk_lists(
+    a: &outerspace_sparse::Csc,
+    b: &outerspace_sparse::Csr,
+) -> Vec<Vec<(Vec<Index>, Vec<Value>)>> {
+    let mut rows = vec![Vec::new(); a.nrows() as usize];
     for k in 0..a.ncols() {
-        let (a_rows, _) = a.col(k);
-        let (b_cols, _) = b.row(k);
-        if a_rows.is_empty() || b_cols.is_empty() {
+        let (a_rows, a_vals) = a.col(k);
+        let (b_cols, b_vals) = b.row(k);
+        if b_cols.is_empty() {
             continue;
         }
-        for &i in a_rows {
-            builder.count_chunk(i, b_cols.len());
+        for (&i, &a_ik) in a_rows.iter().zip(a_vals) {
+            let vals = b_vals.iter().map(|&b_kj| a_ik * b_kj).collect();
+            rows[i as usize].push((b_cols.to_vec(), vals));
         }
     }
-    builder.seal_counts();
-    let mut stats = MultiplyStats::default();
-    for k in 0..a.ncols() {
-        outer_product_arena(a, b, k, &mut builder, &mut stats);
-    }
-    Ok((builder.finish(), stats))
-}
-
-/// Computes outer product `k` straight into the arena, maintaining the same
-/// counters as the chunk-list path.
-fn outer_product_arena(
-    a: &Csc,
-    b: &Csr,
-    k: Index,
-    builder: &mut ArenaBuilder,
-    stats: &mut MultiplyStats,
-) {
-    let (a_rows, a_vals) = a.col(k);
-    let (b_cols, b_vals) = b.row(k);
-    if a_rows.is_empty() || b_cols.is_empty() {
-        return;
-    }
-    stats.nonempty_outer_products += 1;
-    stats.bytes_read += 12 * (a_rows.len() + b_cols.len()) as u64;
-    for (&i, &a_ik) in a_rows.iter().zip(a_vals) {
-        builder.place_chunk(i, b_cols, |dst| {
-            for (d, &b_kj) in dst.iter_mut().zip(b_vals) {
-                *d = a_ik * b_kj;
-            }
-        });
-        stats.elementary_products += b_cols.len() as u64;
-        stats.bytes_written += 12 * b_cols.len() as u64;
-        stats.chunks += 1;
-    }
-}
-
-/// One worker's multiply output: payloads in processing order plus the
-/// records needed to replay them in k order.
-#[derive(Default)]
-struct Shard {
-    cols: Vec<Index>,
-    vals: Vec<Value>,
-    /// `(k, i, start, len)`: chunk for row `i` from outer product `k`,
-    /// occupying `start..start+len` of this shard's payload arrays.
-    recs: Vec<(Index, Index, usize, usize)>,
-    stats: MultiplyStats,
-}
-
-/// Runs the multiply phase with `n_threads` workers over work-stealing
-/// k-ranges (see [`crate::worksteal`]), then reconstructs the arena by
-/// replaying every worker's records in k-ascending order.
-///
-/// Because each outer product is owned by exactly one worker and replay
-/// order is k-ascending regardless of which worker ran what, the result is
-/// **byte-identical** to [`multiply_arena`] for every thread count — the
-/// schedule cannot leak into the output.
-///
-/// # Errors
-///
-/// Returns [`SparseError::ShapeMismatch`] if `a.ncols() != b.nrows()`.
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-pub fn multiply_arena_parallel(
-    a: &Csc,
-    b: &Csr,
-    n_threads: usize,
-) -> Result<(ArenaProducts, MultiplyStats), SparseError> {
-    assert!(n_threads > 0, "need at least one thread");
-    outerspace_sparse::ops::check_spgemm_dims(
-        (a.nrows(), a.ncols()),
-        (b.nrows(), b.ncols()),
-    )?;
-    let n = a.ncols();
-    let queues = WorkStealQueues::split(n, n_threads);
-    let shards: Vec<Shard> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|me| {
-                let queues = &queues;
-                scope.spawn(move || {
-                    let mut shard = Shard::default();
-                    while let Some((lo, hi)) = queues.take(me, MULTIPLY_GRAIN) {
-                        for k in lo..hi {
-                            let (a_rows, a_vals) = a.col(k);
-                            let (b_cols, b_vals) = b.row(k);
-                            if a_rows.is_empty() || b_cols.is_empty() {
-                                continue;
-                            }
-                            shard.stats.nonempty_outer_products += 1;
-                            shard.stats.bytes_read +=
-                                12 * (a_rows.len() + b_cols.len()) as u64;
-                            for (&i, &a_ik) in a_rows.iter().zip(a_vals) {
-                                let start = shard.cols.len();
-                                shard.cols.extend_from_slice(b_cols);
-                                shard.vals.extend(b_vals.iter().map(|&b_kj| a_ik * b_kj));
-                                shard.recs.push((k, i, start, b_cols.len()));
-                                shard.stats.elementary_products += b_cols.len() as u64;
-                                shard.stats.bytes_written += 12 * b_cols.len() as u64;
-                                shard.stats.chunks += 1;
-                            }
-                        }
-                    }
-                    shard
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    });
-
-    // Each k was processed wholly by one worker, as one contiguous run of
-    // records; index those runs and replay them in k order.
-    let mut runs: Vec<(Index, u32, u32, u32)> = Vec::new(); // (k, shard, rec_lo, rec_hi)
-    for (s, shard) in shards.iter().enumerate() {
-        let mut r = 0;
-        while r < shard.recs.len() {
-            let k = shard.recs[r].0;
-            let lo = r;
-            while r < shard.recs.len() && shard.recs[r].0 == k {
-                r += 1;
-            }
-            runs.push((k, s as u32, lo as u32, r as u32));
-        }
-    }
-    runs.sort_unstable_by_key(|&(k, ..)| k);
-
-    let mut builder = ArenaBuilder::new(a.nrows(), b.ncols());
-    for &(_, s, lo, hi) in &runs {
-        for &(_, i, _, len) in &shards[s as usize].recs[lo as usize..hi as usize] {
-            builder.count_chunk(i, len);
-        }
-    }
-    builder.seal_counts();
-    for &(_, s, lo, hi) in &runs {
-        let shard = &shards[s as usize];
-        for &(_, i, start, len) in &shard.recs[lo as usize..hi as usize] {
-            builder.place_chunk(i, &shard.cols[start..start + len], |dst| {
-                dst.copy_from_slice(&shard.vals[start..start + len]);
-            });
-        }
-    }
-    let mut stats = MultiplyStats::default();
-    for shard in &shards {
-        stats.elementary_products += shard.stats.elementary_products;
-        stats.chunks += shard.stats.chunks;
-        stats.nonempty_outer_products += shard.stats.nonempty_outer_products;
-        stats.bytes_read += shard.stats.bytes_read;
-        stats.bytes_written += shard.stats.bytes_written;
-    }
-    Ok((builder.finish(), stats))
+    rows
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiply::multiply;
+    use crate::multiply::{multiply, multiply_parallel};
     use outerspace_gen::uniform;
+    use outerspace_sparse::{Csc, Csr, SparseError};
 
     fn operand_pair(n: u32, nnz: usize, seed: u64) -> (Csc, Csr) {
         let a = uniform::matrix(n, n, nnz, seed);
@@ -412,19 +229,30 @@ mod tests {
 
     #[test]
     fn arena_matches_chunk_list_multiply_exactly() {
+        // Shape and counters against the naive chunk lists; the payloads
+        // are compared in `row_chunk_slices_reproduce_partial_products`.
         let (a, b) = operand_pair(64, 500, 7);
-        let (pp, s_list) = multiply(&a, &b).unwrap();
-        let (ap, s_arena) = multiply_arena(&a, &b).unwrap();
-        assert_eq!(s_list, s_arena);
-        assert_eq!(ap, ArenaProducts::from_partial_products(&pp));
+        let lists = reference_chunk_lists(&a, &b);
+        let (ap, stats) = multiply(&a, &b).unwrap();
+        assert_eq!(ap.nrows() as usize, lists.len());
+        for (i, list) in lists.iter().enumerate() {
+            assert_eq!(ap.row_chunk_count(i as Index), list.len(), "row {i}");
+        }
+        let chunks: usize = lists.iter().map(Vec::len).sum();
+        let entries: usize = lists.iter().flatten().map(|(cols, _)| cols.len()).sum();
+        assert_eq!(ap.total_chunks(), chunks);
+        assert_eq!(ap.total_entries(), entries);
+        assert_eq!(stats.chunks, chunks as u64);
+        assert_eq!(stats.elementary_products, entries as u64);
+        assert_eq!(stats.bytes_written, 12 * entries as u64);
     }
 
     #[test]
     fn parallel_arena_is_byte_identical_to_sequential() {
         let (a, b) = operand_pair(96, 1200, 11);
-        let (seq, s_seq) = multiply_arena(&a, &b).unwrap();
+        let (seq, s_seq) = multiply(&a, &b).unwrap();
         for threads in [1, 2, 3, 5] {
-            let (par, s_par) = multiply_arena_parallel(&a, &b, threads).unwrap();
+            let (par, s_par) = multiply_parallel(&a, &b, threads).unwrap();
             assert_eq!(seq, par, "{threads} threads");
             assert_eq!(s_seq, s_par, "{threads} threads");
         }
@@ -433,15 +261,14 @@ mod tests {
     #[test]
     fn row_chunk_slices_reproduce_partial_products() {
         let (a, b) = operand_pair(32, 200, 3);
-        let (pp, _) = multiply(&a, &b).unwrap();
-        let (ap, _) = multiply_arena(&a, &b).unwrap();
-        for i in 0..pp.nrows() {
-            let chunks = pp.row_chunks(i);
-            let slices: Vec<_> = ap.row_chunk_slices(i).collect();
-            assert_eq!(chunks.len(), slices.len(), "row {i}");
-            for (chunk, (cols, vals)) in chunks.iter().zip(&slices) {
-                assert_eq!(&chunk.cols[..], *cols);
-                assert_eq!(&chunk.vals[..], *vals);
+        let lists = reference_chunk_lists(&a, &b);
+        let (ap, _) = multiply(&a, &b).unwrap();
+        for (i, list) in lists.iter().enumerate() {
+            let slices: Vec<_> = ap.row_chunk_slices(i as Index).collect();
+            assert_eq!(list.len(), slices.len(), "row {i}");
+            for ((cols, vals), (s_cols, s_vals)) in list.iter().zip(&slices) {
+                assert_eq!(&cols[..], *s_cols);
+                assert_eq!(&vals[..], *s_vals);
             }
         }
     }
@@ -450,25 +277,41 @@ mod tests {
     fn empty_operands_build_empty_arena() {
         let a = Csc::zero(4, 4);
         let b = Csr::identity(4);
-        let (ap, stats) = multiply_arena(&a, &b).unwrap();
+        let (ap, _) = multiply(&a, &b).unwrap();
+        assert_eq!((ap.nrows(), ap.ncols()), (4, 4));
         assert_eq!(ap.total_chunks(), 0);
         assert_eq!(ap.total_entries(), 0);
-        assert_eq!(stats.elementary_products, 0);
+        assert!((0..4).all(|i| ap.row_chunk_count(i) == 0));
+        // Only the pointer arrays remain: 1 chunk pointer + 5 row pointers.
+        assert_eq!(ap.memory_footprint_bytes(), 6 * 8);
     }
 
     #[test]
     fn shape_mismatch_detected() {
+        // Both arena builders refuse before allocating, at any worker count,
+        // and report the two operand shapes.
         let a = Csc::zero(2, 3);
         let b = Csr::zero(2, 2);
-        assert!(multiply_arena(&a, &b).is_err());
-        assert!(multiply_arena_parallel(&a, &b, 2).is_err());
+        let shapes = |e: SparseError| match e {
+            SparseError::ShapeMismatch { left, right, .. } => (left, right),
+            other => panic!("unexpected error {other:?}"),
+        };
+        assert_eq!(shapes(multiply(&a, &b).unwrap_err()), ((2, 3), (2, 2)));
+        for threads in [1, 2, 3] {
+            let err = multiply_parallel(&a, &b, threads).unwrap_err();
+            assert_eq!(shapes(err), ((2, 3), (2, 2)), "{threads} threads");
+        }
     }
 
     #[test]
     fn footprint_is_leaner_than_chunk_lists() {
         let (a, b) = operand_pair(64, 800, 19);
-        let (pp, _) = multiply(&a, &b).unwrap();
-        let (ap, _) = multiply_arena(&a, &b).unwrap();
-        assert!(ap.memory_footprint_bytes() < pp.memory_footprint_bytes());
+        let (ap, _) = multiply(&a, &b).unwrap();
+        let (rows, chunks, entries) =
+            (ap.nrows() as usize, ap.total_chunks(), ap.total_entries());
+        assert_eq!(ap.memory_footprint_bytes(), 12 * entries + 8 * (chunks + 1) + 8 * (rows + 1));
+        // A Vec-per-chunk layout: 8 B per row pointer, 16 B per chunk.
+        let chunk_lists = 8 * rows + 16 * chunks + 12 * entries;
+        assert!(ap.memory_footprint_bytes() < chunk_lists);
     }
 }

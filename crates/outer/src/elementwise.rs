@@ -1,16 +1,25 @@
 //! N-way element-wise matrix operations (§5.6).
 //!
-//! Given matrices `A_1 … A_N` of equal shape, the rows are reorganized into
-//! the Fig. 2 intermediate structure (one chunk per source matrix per row)
-//! and the merge-phase machinery combines them. The paper observes a
-//! one-to-one correspondence between element-wise routines and the merge
-//! phase; this module realizes that correspondence directly by reusing
-//! [`crate::merge`].
+//! Given matrices `A_1 … A_N` of equal shape, each result row's chunk list
+//! is the Fig. 2 intermediate structure with one chunk per source matrix —
+//! borrowed straight from the operands' rows — and the merge-phase
+//! machinery combines them. The paper observes a one-to-one correspondence
+//! between element-wise routines and the merge phase; this module realizes
+//! that correspondence directly by reusing [`crate::merge`].
 
 use outerspace_sparse::{Csr, Index, SparseError, Value};
 
-use crate::chunks::{Chunk, PartialProducts};
-use crate::merge::{merge, merge_batches_parallel, merge_row, MergeKind, MergeStats};
+use crate::merge::{merge_batches_parallel, merge_row, merge_rows, MergeKind, MergeStats};
+
+/// Row `i`'s chunk list: the non-empty row `i` of every matrix, in matrix
+/// order.
+fn operand_row_chunks<'a>(
+    mats: &[&'a Csr],
+    i: Index,
+    chunks: &mut Vec<(&'a [Index], &'a [Value])>,
+) {
+    chunks.extend(mats.iter().map(|m| m.row(i)).filter(|(cols, _)| !cols.is_empty()));
+}
 
 /// Combines `mats` element-wise with a reduction `op` applied pairwise in
 /// matrix order over present entries (absent entries contribute nothing).
@@ -44,37 +53,36 @@ where
             });
         }
     }
-    // Reorganize: one chunk per matrix per row, exactly the Fig. 2 layout.
-    let mut pp = PartialProducts::new(first.nrows(), first.ncols());
-    for m in mats {
-        for i in 0..m.nrows() {
-            let (cols, vals) = m.row(i);
-            if !cols.is_empty() {
-                pp.push_chunk(i, Chunk { cols: cols.to_vec(), vals: vals.to_vec() });
-            }
-        }
-    }
     // The streaming merge accumulates collisions with `+`; generalize by
     // re-running with the caller's op. To keep the merge code monomorphic,
     // sum-accumulation is the fast path and other ops go through a local
     // union merge.
     if is_plain_sum(&op) {
-        return Ok(merge(pp, MergeKind::Streaming));
+        let total_entries = mats.iter().map(|m| m.nnz()).sum();
+        return Ok(merge_rows(
+            first.nrows(),
+            first.ncols(),
+            total_entries,
+            MergeKind::Streaming,
+            |i, chunks| operand_row_chunks(mats, i, chunks),
+        ));
     }
     let mut row_ptr = vec![0usize];
     let mut out_cols = Vec::new();
     let mut out_vals: Vec<Value> = Vec::new();
     let mut stats = MergeStats::default();
+    let mut chunks = Vec::new();
     for i in 0..first.nrows() {
-        let chunks = pp.take_row(i);
+        chunks.clear();
+        operand_row_chunks(mats, i, &mut chunks);
         let mut heads: Vec<(u32, usize)> = (0..chunks.len() as u32).map(|c| (c, 0)).collect();
         loop {
             // Find the smallest current column among chunk cursors.
             let mut best: Option<(u32, u32)> = None; // (col, chunk)
             for &(ci, pos) in &heads {
-                let ch = &chunks[ci as usize];
-                if pos < ch.len() {
-                    let col = ch.cols[pos];
+                let (ch_cols, _) = chunks[ci as usize];
+                if pos < ch_cols.len() {
+                    let col = ch_cols[pos];
                     if best.map_or(true, |(bc, _)| col < bc) {
                         best = Some((col, ci));
                     }
@@ -83,9 +91,9 @@ where
             let Some((col, _)) = best else { break };
             let mut acc: Option<Value> = None;
             for (ci, pos) in heads.iter_mut() {
-                let ch = &chunks[*ci as usize];
-                if *pos < ch.len() && ch.cols[*pos] == col {
-                    let v = ch.vals[*pos];
+                let (ch_cols, ch_vals) = chunks[*ci as usize];
+                if *pos < ch_cols.len() && ch_cols[*pos] == col {
+                    let v = ch_vals[*pos];
                     acc = Some(match acc {
                         None => v,
                         Some(prev) => {
@@ -121,10 +129,8 @@ pub fn sum_all(mats: &[&Csr]) -> Result<(Csr, MergeStats), SparseError> {
 }
 
 /// [`sum_all`] with `n_threads` workers over work-stealing row batches
-/// (see [`crate::worksteal`]). The source rows are borrowed straight from
-/// the operands — no intermediate chunk structure is materialized — and the
-/// batch-stitched output is identical to [`sum_all`] for every thread
-/// count.
+/// (see [`crate::worksteal`]). The batch-stitched output is identical to
+/// [`sum_all`] for every thread count.
 ///
 /// # Errors
 ///
@@ -154,12 +160,9 @@ pub fn sum_all_parallel(
         first.ncols(),
         n_threads,
         &|i, cols, vals, blocked| {
-            let slices: Vec<(&[Index], &[Value])> = mats
-                .iter()
-                .map(|m| m.row(i))
-                .filter(|(c, _)| !c.is_empty())
-                .collect();
-            merge_row(&slices, MergeKind::Streaming, cols, vals, blocked)
+            let mut chunks = Vec::with_capacity(mats.len());
+            operand_row_chunks(mats, i, &mut chunks);
+            merge_row(&chunks, MergeKind::Streaming, cols, vals, blocked)
         },
     ))
 }

@@ -10,12 +10,16 @@
 //!    matching, every element of a row-of-`B` is reused for every element of
 //!    the paired column-of-`A`, and once an outer product is done its inputs
 //!    are never touched again. The results are stored as per-result-row
-//!    lists of contiguous *chunks* ([`PartialProducts`], Fig. 2's linked
-//!    lists).
+//!    lists of contiguous *chunks* — Fig. 2's linked lists, laid out flat in
+//!    one [`ArenaProducts`] and read back per row with
+//!    [`ArenaProducts::row_chunk_slices`].
 //! 2. **Merge** ([`merge`]): each result row's chunks are combined
-//!    independently — the paper's streaming multi-way merge that keeps only
-//!    one head element per chunk resident (§5.4.2), chosen over a full sort
-//!    to minimize memory traffic.
+//!    independently. [`MergeKind`] picks the algorithm: the paper's
+//!    streaming multi-way merge that keeps only one head element per chunk
+//!    resident (§5.4.2), the sort-based ablation it was chosen over, or a
+//!    cache-blocked software fast path. All three are bitwise identical
+//!    (see DESIGN.md §14); [`spgemm`] and [`spgemm_parallel`] use the
+//!    blocked one.
 //!
 //! Both phases come in sequential and multi-threaded flavours; the
 //! multi-threaded versions schedule over work-stealing ranges
@@ -24,13 +28,6 @@
 //! conversion (§4.3, `I_CC × A_CR → A_CC`), outer-product SpMV (§5.6) and
 //! `N`-way element-wise operations (§5.6) are built from the same
 //! machinery.
-//!
-//! For raw software speed, the chunk-list intermediate has an arena twin
-//! ([`ArenaProducts`], six allocations per multiply phase instead of one
-//! per chunk) and the merge has a cache-blocked variant
-//! ([`MergeKind::Blocked`]); [`spgemm_blocked`] and
-//! [`spgemm_arena_parallel`] combine them. All variants produce
-//! bitwise-identical results (see DESIGN.md §14).
 //!
 //! # Example
 //!
@@ -50,7 +47,6 @@
 #![warn(missing_debug_implementations)]
 
 mod arena;
-mod chunks;
 mod convert;
 mod elementwise;
 mod merge;
@@ -60,21 +56,14 @@ mod spgemm;
 mod spmv;
 pub mod worksteal;
 
-pub use arena::{multiply_arena, multiply_arena_parallel, ArenaProducts};
-pub use chunks::{Chunk, MultiplyStats, PartialProducts};
+pub use arena::ArenaProducts;
 pub use convert::{csr_to_csc_via_outer, ConversionStats};
 pub use elementwise::{elementwise_merge, sum_all, sum_all_parallel};
-pub use merge::{
-    merge, merge_arena, merge_arena_parallel, merge_parallel, merge_sort_based,
-    MergeKind, MergeStats, MERGE_BLOCK_COLS,
-};
-pub use multiply::{multiply, multiply_parallel};
+pub use merge::{merge, merge_parallel, MergeKind, MergeStats, MERGE_BLOCK_COLS};
+pub use multiply::{multiply, multiply_parallel, MultiplyStats};
 pub use sparch::{
     condense, sparch_structural_plan, spgemm_sparch, spgemm_sparch_with_plan, CondensedA,
     CondensedEntry, SparchMergeOp, SparchPlan, DEFAULT_MERGE_WAYS,
 };
-pub use spgemm::{
-    multiply_only, spgemm, spgemm_arena, spgemm_arena_parallel, spgemm_blocked,
-    spgemm_cc, spgemm_parallel, spgemm_with_stats, SpGemmReport,
-};
+pub use spgemm::{spgemm, spgemm_cc, spgemm_parallel, spgemm_with_stats, SpGemmReport};
 pub use spmv::{spmv, spmv_dense, SpmvStats};

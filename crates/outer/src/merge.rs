@@ -26,23 +26,23 @@
 //! identical** — the property that lets the differential oracle and the
 //! determinism tests use exact equality across variants and thread counts.
 
+use std::borrow::Borrow;
 use std::collections::BinaryHeap;
 
 use outerspace_sparse::{Csr, Index, Value};
 
 use crate::arena::ArenaProducts;
-use crate::chunks::{Chunk, PartialProducts};
 use crate::worksteal::WorkStealQueues;
 
 /// Which merge algorithm to run. See the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeKind {
-    /// The paper's streaming multi-way merge (default).
-    #[default]
+    /// The paper's streaming multi-way merge.
     Streaming,
     /// Concatenate-and-sort ablation baseline.
     SortBased,
-    /// Cache-blocked dense-accumulator merge (software fast path).
+    /// Cache-blocked dense-accumulator merge (software fast path, used by
+    /// the SpGEMM drivers).
     Blocked,
 }
 
@@ -83,35 +83,6 @@ impl MergeStats {
     }
 }
 
-/// A chunk's data, independent of how it is stored: owned `Vec`s
-/// ([`Chunk`]) or arena slices. Lets every merge algorithm serve both the
-/// linked-list and the arena intermediate without copies or per-row
-/// adapter allocations.
-pub(crate) trait ChunkView {
-    /// Column indices, strictly increasing.
-    fn view_cols(&self) -> &[Index];
-    /// Values, parallel to the columns.
-    fn view_vals(&self) -> &[Value];
-}
-
-impl ChunkView for Chunk {
-    fn view_cols(&self) -> &[Index] {
-        &self.cols
-    }
-    fn view_vals(&self) -> &[Value] {
-        &self.vals
-    }
-}
-
-impl ChunkView for (&[Index], &[Value]) {
-    fn view_cols(&self) -> &[Index] {
-        self.0
-    }
-    fn view_vals(&self) -> &[Value] {
-        self.1
-    }
-}
-
 /// Upper bound on merged output entries, used to pre-size the result
 /// arrays: the output can be no larger than the intermediate
 /// (`total_entries`) and no larger than a dense result (`nrows × ncols`).
@@ -129,34 +100,49 @@ pub(crate) fn output_capacity_hint(
     total_entries.min((nrows as usize).saturating_mul(ncols as usize))
 }
 
-/// Merges all rows sequentially with the chosen algorithm, producing the
-/// final CSR result.
-pub fn merge(mut pp: PartialProducts, kind: MergeKind) -> (Csr, MergeStats) {
-    let nrows = pp.nrows();
-    let ncols = pp.ncols();
-    let hint = output_capacity_hint(pp.total_entries(), nrows, ncols);
-    let mut row_ptr = Vec::with_capacity(nrows as usize + 1);
-    row_ptr.push(0usize);
-    let mut cols: Vec<Index> = Vec::with_capacity(hint);
-    let mut vals: Vec<Value> = Vec::with_capacity(hint);
-    let mut stats = MergeStats::default();
-    let mut blocked = BlockedMerger::new();
-    for i in 0..nrows {
-        let chunks = pp.take_row(i);
-        let s = merge_row(&chunks, kind, &mut cols, &mut vals, &mut blocked);
-        stats.absorb(s);
-        row_ptr.push(cols.len());
-    }
-    (Csr::from_raw_parts_unchecked(nrows, ncols, row_ptr, cols, vals), stats)
+/// Merges all rows of the intermediate sequentially with the chosen
+/// algorithm, producing the final CSR result. Takes the arena by value or
+/// by reference; nothing is consumed, so callers can compare merge
+/// variants on identical input.
+pub fn merge(ap: impl Borrow<ArenaProducts>, kind: MergeKind) -> (Csr, MergeStats) {
+    let ap = ap.borrow();
+    merge_rows(ap.nrows(), ap.ncols(), ap.total_entries(), kind, |i, chunks| {
+        chunks.extend(ap.row_chunk_slices(i));
+    })
 }
 
-/// Merges an arena intermediate sequentially. Borrows the arena (nothing
-/// is consumed), so benchmarks can merge the same intermediate repeatedly
-/// and callers can compare merge variants on identical input.
-pub fn merge_arena(ap: &ArenaProducts, kind: MergeKind) -> (Csr, MergeStats) {
-    let nrows = ap.nrows();
-    let ncols = ap.ncols();
-    let hint = output_capacity_hint(ap.total_entries(), nrows, ncols);
+/// Merges rows with `n_threads` workers over work-stealing row-batch
+/// queues (see [`crate::worksteal`]), then stitches the per-batch outputs
+/// in batch order — so the result is identical to [`merge`] for every
+/// thread count.
+///
+/// # Panics
+///
+/// Panics if `n_threads == 0`.
+pub fn merge_parallel(
+    ap: impl Borrow<ArenaProducts>,
+    kind: MergeKind,
+    n_threads: usize,
+) -> (Csr, MergeStats) {
+    let ap = ap.borrow();
+    merge_batches_parallel(ap.nrows(), ap.ncols(), n_threads, &|i, cols, vals, blocked| {
+        let scratch: Vec<(&[Index], &[Value])> = ap.row_chunk_slices(i).collect();
+        merge_row(&scratch, kind, cols, vals, blocked)
+    })
+}
+
+/// Shared sequential-merge skeleton: `row_chunks(i, chunks)` lists row
+/// `i`'s chunks into the (cleared) `chunks` buffer, and each row is merged
+/// with `kind` in row order. `total_entries` pre-sizes the output (see
+/// [`output_capacity_hint`]).
+pub(crate) fn merge_rows<'a>(
+    nrows: Index,
+    ncols: Index,
+    total_entries: usize,
+    kind: MergeKind,
+    mut row_chunks: impl FnMut(Index, &mut Vec<(&'a [Index], &'a [Value])>),
+) -> (Csr, MergeStats) {
+    let hint = output_capacity_hint(total_entries, nrows, ncols);
     let mut row_ptr = Vec::with_capacity(nrows as usize + 1);
     row_ptr.push(0usize);
     let mut cols: Vec<Index> = Vec::with_capacity(hint);
@@ -166,50 +152,12 @@ pub fn merge_arena(ap: &ArenaProducts, kind: MergeKind) -> (Csr, MergeStats) {
     let mut scratch: Vec<(&[Index], &[Value])> = Vec::new();
     for i in 0..nrows {
         scratch.clear();
-        scratch.extend(ap.row_chunk_slices(i));
+        row_chunks(i, &mut scratch);
         let s = merge_row(&scratch, kind, &mut cols, &mut vals, &mut blocked);
         stats.absorb(s);
         row_ptr.push(cols.len());
     }
     (Csr::from_raw_parts_unchecked(nrows, ncols, row_ptr, cols, vals), stats)
-}
-
-/// Merges rows with `n_threads` workers over work-stealing row-batch
-/// queues (see [`crate::worksteal`]), then stitches the per-batch outputs
-/// in batch order — so the result is identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-pub fn merge_parallel(
-    mut pp: PartialProducts,
-    kind: MergeKind,
-    n_threads: usize,
-) -> (Csr, MergeStats) {
-    let nrows = pp.nrows();
-    let ncols = pp.ncols();
-    // Pre-split the rows so workers read their batches without locking.
-    let row_lists: Vec<Vec<Chunk>> = (0..nrows).map(|i| pp.take_row(i)).collect();
-    merge_batches_parallel(nrows, ncols, n_threads, &|i, cols, vals, blocked| {
-        merge_row(&row_lists[i as usize], kind, cols, vals, blocked)
-    })
-}
-
-/// [`merge_arena`] with `n_threads` work-stealing workers. Same
-/// batch-stitched determinism guarantee as [`merge_parallel`].
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-pub fn merge_arena_parallel(
-    ap: &ArenaProducts,
-    kind: MergeKind,
-    n_threads: usize,
-) -> (Csr, MergeStats) {
-    merge_batches_parallel(ap.nrows(), ap.ncols(), n_threads, &|i, cols, vals, blocked| {
-        let scratch: Vec<(&[Index], &[Value])> = ap.row_chunk_slices(i).collect();
-        merge_row(&scratch, kind, cols, vals, blocked)
-    })
 }
 
 /// Shared parallel-merge skeleton: workers pull [`MERGE_ROW_BATCH`]-row
@@ -285,14 +233,9 @@ where
     (Csr::from_raw_parts_unchecked(nrows, ncols, row_ptr, cols, vals), stats)
 }
 
-/// Sort-based single-row merge exposed for benchmarks.
-pub fn merge_sort_based(pp: PartialProducts) -> (Csr, MergeStats) {
-    merge(pp, MergeKind::SortBased)
-}
-
 /// Merges one row's chunks, appending the combined entries to `cols`/`vals`.
-pub(crate) fn merge_row<C: ChunkView>(
-    chunks: &[C],
+pub(crate) fn merge_row(
+    chunks: &[(&[Index], &[Value])],
     kind: MergeKind,
     cols: &mut Vec<Index>,
     vals: &mut Vec<Value>,
@@ -325,8 +268,8 @@ impl PartialOrd for Head {
     }
 }
 
-fn merge_row_streaming<C: ChunkView>(
-    chunks: &[C],
+fn merge_row_streaming(
+    chunks: &[(&[Index], &[Value])],
     cols: &mut Vec<Index>,
     vals: &mut Vec<Value>,
 ) -> MergeStats {
@@ -335,9 +278,9 @@ fn merge_row_streaming<C: ChunkView>(
     // set. Only one element per chunk is ever resident.
     let mut heads = BinaryHeap::with_capacity(chunks.len());
     let mut cursor = vec![0usize; chunks.len()];
-    for (ci, chunk) in chunks.iter().enumerate() {
-        if !chunk.view_cols().is_empty() {
-            heads.push(Head { col: chunk.view_cols()[0], chunk: ci as u32 });
+    for (ci, &(ccols, _)) in chunks.iter().enumerate() {
+        if !ccols.is_empty() {
+            heads.push(Head { col: ccols[0], chunk: ci as u32 });
             stats.sort_steps += 1;
             stats.bytes_read += 12;
         }
@@ -348,7 +291,7 @@ fn merge_row_streaming<C: ChunkView>(
     while let Some(Head { col, chunk }) = heads.pop() {
         let ci = chunk as usize;
         let pos = cursor[ci];
-        let v = chunks[ci].view_vals()[pos];
+        let v = chunks[ci].1[pos];
         match current {
             Some((ccol, ref mut acc)) if ccol == col => {
                 *acc += v;
@@ -362,8 +305,8 @@ fn merge_row_streaming<C: ChunkView>(
             None => current = Some((col, v)),
         }
         cursor[ci] += 1;
-        if cursor[ci] < chunks[ci].view_cols().len() {
-            heads.push(Head { col: chunks[ci].view_cols()[cursor[ci]], chunk });
+        if cursor[ci] < chunks[ci].0.len() {
+            heads.push(Head { col: chunks[ci].0[cursor[ci]], chunk });
             stats.sort_steps += 1;
             stats.bytes_read += 12;
         }
@@ -378,18 +321,16 @@ fn merge_row_streaming<C: ChunkView>(
     stats
 }
 
-fn merge_row_sort<C: ChunkView>(
-    chunks: &[C],
+fn merge_row_sort(
+    chunks: &[(&[Index], &[Value])],
     cols: &mut Vec<Index>,
     vals: &mut Vec<Value>,
 ) -> MergeStats {
     let mut stats = MergeStats::default();
-    let total: usize = chunks.iter().map(|c| c.view_cols().len()).sum();
+    let total: usize = chunks.iter().map(|(ccols, _)| ccols.len()).sum();
     let mut buf: Vec<(Index, Value)> = Vec::with_capacity(total);
-    for chunk in chunks {
-        buf.extend(
-            chunk.view_cols().iter().copied().zip(chunk.view_vals().iter().copied()),
-        );
+    for &(ccols, cvals) in chunks {
+        buf.extend(ccols.iter().copied().zip(cvals.iter().copied()));
     }
     stats.bytes_read += 12 * total as u64;
     // Stable sort keeps duplicate accumulation order deterministic.
@@ -448,23 +389,23 @@ impl BlockedMerger {
         }
     }
 
-    fn merge_row<C: ChunkView>(
+    fn merge_row(
         &mut self,
-        chunks: &[C],
+        chunks: &[(&[Index], &[Value])],
         cols: &mut Vec<Index>,
         vals: &mut Vec<Value>,
     ) -> MergeStats {
         let mut stats = MergeStats::default();
-        let mut nonempty = chunks.iter().filter(|c| !c.view_cols().is_empty());
-        let Some(first) = nonempty.next() else {
+        let mut nonempty = chunks.iter().filter(|(ccols, _)| !ccols.is_empty());
+        let Some(&(first_cols, first_vals)) = nonempty.next() else {
             return stats;
         };
         if nonempty.next().is_none() {
             // Single-chunk fast path: the chunk is already sorted and
             // collision-free, so the merged row is a straight copy.
-            let n = first.view_cols().len() as u64;
-            cols.extend_from_slice(first.view_cols());
-            vals.extend_from_slice(first.view_vals());
+            let n = first_cols.len() as u64;
+            cols.extend_from_slice(first_cols);
+            vals.extend_from_slice(first_vals);
             stats.bytes_read = 12 * n;
             stats.output_entries = n;
             stats.bytes_written = 12 * n;
@@ -481,8 +422,7 @@ impl BlockedMerger {
             // blocks with no entries are skipped entirely.
             let mut min_col = Index::MAX;
             let mut exhausted = true;
-            for (ci, chunk) in chunks.iter().enumerate() {
-                let ccols = chunk.view_cols();
+            for (ci, &(ccols, _)) in chunks.iter().enumerate() {
                 let pos = self.cursors[ci];
                 if pos < ccols.len() {
                     min_col = min_col.min(ccols[pos]);
@@ -505,9 +445,7 @@ impl BlockedMerger {
             // Chunk-index-ascending scatter keeps collision accumulation
             // order identical to the streaming heap's tiebreak (bitwise-
             // equal floating point across merge kinds).
-            for (ci, chunk) in chunks.iter().enumerate() {
-                let ccols = chunk.view_cols();
-                let cvals = chunk.view_vals();
+            for (ci, &(ccols, cvals)) in chunks.iter().enumerate() {
                 let mut pos = self.cursors[ci];
                 while pos < ccols.len() && (ccols[pos] as usize) < block_hi {
                     let off = ccols[pos] as usize - block_lo;
@@ -537,26 +475,42 @@ impl BlockedMerger {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::multiply_arena;
+    use crate::arena::reference_chunk_lists;
     use crate::multiply::multiply;
-    use outerspace_sparse::{ops, Csc, Dense};
+    use outerspace_sparse::{ops, Coo, Csc, Dense};
 
-    fn chunk(entries: &[(Index, Value)]) -> Chunk {
-        Chunk {
-            cols: entries.iter().map(|&(c, _)| c).collect(),
-            vals: entries.iter().map(|&(_, v)| v).collect(),
+    type Chunk<'a> = &'a [(Index, Value)];
+
+    /// An arena whose row `i` holds exactly the chunks `rows[i]`, in order,
+    /// built by the multiply phase itself: the `k`-th chunk overall becomes
+    /// row `k` of `B`, and `A` has a `1` at `(i, k)` when that chunk belongs
+    /// to row `i` — so row `i`'s chunks are `1 · B[k,:]` in `k` order.
+    fn arena(ncols: Index, rows: &[&[Chunk]]) -> ArenaProducts {
+        let n_chunks = rows.iter().map(|r| r.len()).sum::<usize>() as Index;
+        let mut a = Coo::new(rows.len() as Index, n_chunks);
+        let mut b = Coo::new(n_chunks, ncols);
+        let mut k = 0;
+        for (i, chunks) in rows.iter().enumerate() {
+            for chunk in *chunks {
+                a.push(i as Index, k, 1.0);
+                for &(c, v) in *chunk {
+                    b.push(k, c, v);
+                }
+                k += 1;
+            }
         }
+        let (ap, _) = multiply(&a.to_csc(), &b.to_csr()).unwrap();
+        ap
     }
 
     #[test]
     fn streaming_merges_disjoint_chunks() {
-        let mut pp = PartialProducts::new(1, 8);
-        pp.push_chunk(0, chunk(&[(0, 1.0), (4, 2.0)]));
-        pp.push_chunk(0, chunk(&[(2, 3.0), (6, 4.0)]));
-        let (c, stats) = merge(pp, MergeKind::Streaming);
+        let ap = arena(8, &[&[&[(0, 1.0), (4, 2.0)], &[(2, 3.0), (6, 4.0)]]]);
+        let (c, stats) = merge(&ap, MergeKind::Streaming);
         assert_eq!(c.row(0).0, &[0, 2, 4, 6]);
         assert_eq!(c.row(0).1, &[1.0, 3.0, 2.0, 4.0]);
         assert_eq!(stats.collisions, 0);
@@ -565,11 +519,8 @@ mod tests {
 
     #[test]
     fn streaming_accumulates_collisions() {
-        let mut pp = PartialProducts::new(1, 8);
-        pp.push_chunk(0, chunk(&[(3, 1.0), (5, 1.0)]));
-        pp.push_chunk(0, chunk(&[(3, 2.0)]));
-        pp.push_chunk(0, chunk(&[(3, 4.0), (5, 8.0)]));
-        let (c, stats) = merge(pp, MergeKind::Streaming);
+        let ap = arena(8, &[&[&[(3, 1.0), (5, 1.0)], &[(3, 2.0)], &[(3, 4.0), (5, 8.0)]]]);
+        let (c, stats) = merge(&ap, MergeKind::Streaming);
         assert_eq!(c.row(0).0, &[3, 5]);
         assert_eq!(c.row(0).1, &[7.0, 9.0]);
         assert_eq!(stats.collisions, 3);
@@ -578,15 +529,12 @@ mod tests {
 
     #[test]
     fn sort_based_agrees_with_streaming() {
-        let mut pp1 = PartialProducts::new(2, 16);
-        let mut pp2 = PartialProducts::new(2, 16);
-        for pp in [&mut pp1, &mut pp2] {
-            pp.push_chunk(0, chunk(&[(1, 1.0), (9, 2.0), (15, 3.0)]));
-            pp.push_chunk(0, chunk(&[(0, 4.0), (9, 5.0)]));
-            pp.push_chunk(1, chunk(&[(7, 6.0)]));
-        }
-        let (c1, s1) = merge(pp1, MergeKind::Streaming);
-        let (c2, s2) = merge(pp2, MergeKind::SortBased);
+        let ap = arena(
+            16,
+            &[&[&[(1, 1.0), (9, 2.0), (15, 3.0)], &[(0, 4.0), (9, 5.0)]], &[&[(7, 6.0)]]],
+        );
+        let (c1, s1) = merge(&ap, MergeKind::Streaming);
+        let (c2, s2) = merge(&ap, MergeKind::SortBased);
         assert_eq!(c1, c2);
         assert_eq!(s1.collisions, s2.collisions);
         assert_eq!(s1.output_entries, s2.output_entries);
@@ -594,16 +542,15 @@ mod tests {
 
     #[test]
     fn blocked_agrees_with_streaming_bitwise() {
-        let mut pp1 = PartialProducts::new(2, 16);
-        let mut pp2 = PartialProducts::new(2, 16);
-        for pp in [&mut pp1, &mut pp2] {
-            pp.push_chunk(0, chunk(&[(1, 0.1), (9, 2.0), (15, 3.0)]));
-            pp.push_chunk(0, chunk(&[(0, 4.0), (9, 0.2)]));
-            pp.push_chunk(0, chunk(&[(9, 0.7)]));
-            pp.push_chunk(1, chunk(&[(7, 6.0)]));
-        }
-        let (c1, s1) = merge(pp1, MergeKind::Streaming);
-        let (c2, s2) = merge(pp2, MergeKind::Blocked);
+        let ap = arena(
+            16,
+            &[
+                &[&[(1, 0.1), (9, 2.0), (15, 3.0)], &[(0, 4.0), (9, 0.2)], &[(9, 0.7)]],
+                &[&[(7, 6.0)]],
+            ],
+        );
+        let (c1, s1) = merge(&ap, MergeKind::Streaming);
+        let (c2, s2) = merge(&ap, MergeKind::Blocked);
         // Exact equality: collision accumulation order is pinned to chunk
         // index in both variants, so even 0.1 + 0.2-style non-associative
         // sums come out bit-identical.
@@ -618,10 +565,14 @@ mod tests {
     fn blocked_handles_columns_spanning_many_blocks() {
         // Columns straddle 3 accumulator blocks with a collision in each.
         let far = |b: u32, off: u32| b * MERGE_BLOCK_COLS as u32 + off;
-        let mut pp = PartialProducts::new(1, far(3, 0));
-        pp.push_chunk(0, chunk(&[(far(0, 1), 1.0), (far(1, 5), 2.0), (far(2, 9), 3.0)]));
-        pp.push_chunk(0, chunk(&[(far(0, 1), 4.0), (far(1, 5), 8.0), (far(2, 9), 16.0)]));
-        let (c, stats) = merge(pp, MergeKind::Blocked);
+        let ap = arena(
+            far(3, 0),
+            &[&[
+                &[(far(0, 1), 1.0), (far(1, 5), 2.0), (far(2, 9), 3.0)],
+                &[(far(0, 1), 4.0), (far(1, 5), 8.0), (far(2, 9), 16.0)],
+            ]],
+        );
+        let (c, stats) = merge(&ap, MergeKind::Blocked);
         assert_eq!(c.row(0).0, &[far(0, 1), far(1, 5), far(2, 9)]);
         assert_eq!(c.row(0).1, &[5.0, 10.0, 19.0]);
         assert_eq!(stats.collisions, 3);
@@ -630,9 +581,8 @@ mod tests {
 
     #[test]
     fn blocked_single_chunk_fast_path() {
-        let mut pp = PartialProducts::new(1, 8);
-        pp.push_chunk(0, chunk(&[(2, 1.5), (5, 2.5)]));
-        let (c, stats) = merge(pp, MergeKind::Blocked);
+        let ap = arena(8, &[&[&[(2, 1.5), (5, 2.5)]]]);
+        let (c, stats) = merge(&ap, MergeKind::Blocked);
         assert_eq!(c.row(0).0, &[2, 5]);
         assert_eq!(c.row(0).1, &[1.5, 2.5]);
         assert_eq!(stats.bytes_read, 24);
@@ -641,9 +591,9 @@ mod tests {
 
     #[test]
     fn empty_rows_produce_empty_result_rows() {
+        let ap = arena(3, &[&[], &[], &[]]);
         for kind in [MergeKind::Streaming, MergeKind::SortBased, MergeKind::Blocked] {
-            let pp = PartialProducts::new(3, 3);
-            let (c, stats) = merge(pp, kind);
+            let (c, stats) = merge(&ap, kind);
             assert_eq!(c.nnz(), 0);
             assert_eq!(c.nrows(), 3);
             assert_eq!(stats.output_entries, 0);
@@ -664,10 +614,9 @@ mod tests {
         )
         .to_csr();
         let a_cc: Csc = a.to_csc();
-        let (pp1, _) = multiply(&a_cc, &a).unwrap();
-        let (pp2, _) = multiply(&a_cc, &a).unwrap();
-        let (c_seq, s_seq) = merge(pp1, MergeKind::Streaming);
-        let (c_par, s_par) = merge_parallel(pp2, MergeKind::Streaming, 3);
+        let (ap, _) = multiply(&a_cc, &a).unwrap();
+        let (c_seq, s_seq) = merge(&ap, MergeKind::Streaming);
+        let (c_par, s_par) = merge_parallel(&ap, MergeKind::Streaming, 3);
         assert_eq!(c_seq, c_par);
         assert_eq!(s_seq.output_entries, s_par.output_entries);
         let want = ops::spgemm_reference(&a, &a).unwrap();
@@ -676,27 +625,43 @@ mod tests {
 
     #[test]
     fn arena_merge_matches_chunk_list_merge() {
+        // The arena's row slices against the same chunks held as separate
+        // owned lists (Fig. 2's naive layout), row by row through the same
+        // per-row merge.
         let a = outerspace_gen::uniform::matrix(64, 64, 600, 17);
         let b = outerspace_gen::uniform::matrix(64, 64, 600, 18);
         let a_cc: Csc = a.to_csc();
+        let (ap, _) = multiply(&a_cc, &b).unwrap();
+        let lists = reference_chunk_lists(&a_cc, &b);
         for kind in [MergeKind::Streaming, MergeKind::SortBased, MergeKind::Blocked] {
-            let (pp, _) = multiply(&a_cc, &b).unwrap();
-            let (ap, _) = multiply_arena(&a_cc, &b).unwrap();
-            let (c_list, s_list) = merge(pp, kind);
-            let (c_arena, s_arena) = merge_arena(&ap, kind);
+            let (c_list, s_list) = merge_rows(64, 64, ap.total_entries(), kind, |i, chunks| {
+                chunks.extend(lists[i as usize].iter().map(|(c, v)| (&c[..], &v[..])));
+            });
+            let (c_arena, s_arena) = merge(&ap, kind);
             assert_eq!(c_list, c_arena, "{kind:?}");
             assert_eq!(s_list, s_arena, "{kind:?}");
-            let (c_arena_par, s_par) = merge_arena_parallel(&ap, kind, 3);
+            let (c_arena_par, s_par) = merge_parallel(&ap, kind, 3);
             assert_eq!(c_list, c_arena_par, "{kind:?} parallel");
-            assert_eq!(s_list.output_entries, s_par.output_entries, "{kind:?} parallel");
+            assert_eq!(s_list, s_par, "{kind:?} parallel");
+        }
+    }
+
+    #[test]
+    fn merge_takes_the_arena_by_value_or_by_reference() {
+        let a = outerspace_gen::uniform::matrix(32, 32, 200, 5);
+        let (ap, _) = multiply(&a.to_csc(), &a).unwrap();
+        for kind in [MergeKind::Streaming, MergeKind::SortBased, MergeKind::Blocked] {
+            let by_ref = merge(&ap, kind);
+            let by_value = merge(ap.clone(), kind);
+            assert_eq!(by_ref, by_value, "{kind:?}");
+            assert_eq!(merge_parallel(ap.clone(), kind, 2), by_ref, "{kind:?} parallel");
         }
     }
 
     #[test]
     fn merge_stats_byte_accounting() {
-        let mut pp = PartialProducts::new(1, 4);
-        pp.push_chunk(0, chunk(&[(0, 1.0), (1, 2.0)]));
-        let (_, stats) = merge(pp, MergeKind::Streaming);
+        let ap = arena(4, &[&[&[(0, 1.0), (1, 2.0)]]]);
+        let (_, stats) = merge(&ap, MergeKind::Streaming);
         assert_eq!(stats.bytes_read, 24);
         assert_eq!(stats.bytes_written, 24);
     }
@@ -719,20 +684,16 @@ mod tests {
         // grew its output arrays through ~log2(n) full copies; the hint
         // (total_entries = 4000, under the dense cap) sizes them once.
         let n_chunks = 4000u32;
-        let mut pp = PartialProducts::new(1, n_chunks);
-        for c in 0..n_chunks {
-            pp.push_chunk(0, chunk(&[(c, 1.0)]));
-        }
+        let entries: Vec<[(Index, Value); 1]> = (0..n_chunks).map(|c| [(c, 1.0)]).collect();
+        let chunks: Vec<Chunk> = entries.iter().map(|e| &e[..]).collect();
+        let ap = arena(n_chunks, &[&chunks]);
+        assert_eq!(ap.row_chunk_count(0), n_chunks as usize);
         assert_eq!(
-            output_capacity_hint(pp.total_entries(), pp.nrows(), pp.ncols()),
+            output_capacity_hint(ap.total_entries(), ap.nrows(), ap.ncols()),
             n_chunks as usize
         );
         for kind in [MergeKind::Streaming, MergeKind::SortBased, MergeKind::Blocked] {
-            let mut pp = PartialProducts::new(1, n_chunks);
-            for c in 0..n_chunks {
-                pp.push_chunk(0, chunk(&[(c, 1.0)]));
-            }
-            let (c, stats) = merge(pp, kind);
+            let (c, stats) = merge(&ap, kind);
             assert_eq!(c.nnz(), n_chunks as usize, "{kind:?}");
             assert_eq!(stats.output_entries, u64::from(n_chunks), "{kind:?}");
             assert_eq!(stats.collisions, 0, "{kind:?}");

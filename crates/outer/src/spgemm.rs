@@ -1,14 +1,11 @@
-//! Top-level outer-product SpGEMM drivers.
+//! Top-level outer-product SpGEMM drivers: format conversion, the
+//! multiply phase into the arena intermediate, then a merge.
 
 use outerspace_sparse::{ops, Csc, Csr, SparseError};
 
-use crate::arena::{multiply_arena, multiply_arena_parallel};
-use crate::chunks::{MultiplyStats, PartialProducts};
 use crate::convert::{csr_to_csc_via_outer, ConversionStats};
-use crate::merge::{
-    merge, merge_arena, merge_arena_parallel, merge_parallel, MergeKind, MergeStats,
-};
-use crate::multiply::{multiply, multiply_parallel};
+use crate::merge::{merge, merge_parallel, MergeKind, MergeStats};
+use crate::multiply::{multiply, multiply_parallel, MultiplyStats};
 
 /// Everything measured during one outer-product SpGEMM run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,7 +20,9 @@ pub struct SpGemmReport {
     pub intermediate_bytes: usize,
 }
 
-/// Computes `C = A × B` with the outer-product algorithm, sequentially.
+/// Computes `C = A × B` with the outer-product algorithm, sequentially,
+/// merging with [`MergeKind::Blocked`] (bit-identical to the paper's
+/// streaming merge, and the fastest in software).
 ///
 /// Inputs and output are CR (CSR); `A` is converted to CC internally via the
 /// paper's `I_CC × A_CR` scheme, and that cost is included in the returned
@@ -49,7 +48,7 @@ pub struct SpGemmReport {
 /// # }
 /// ```
 pub fn spgemm(a: &Csr, b: &Csr) -> Result<Csr, SparseError> {
-    Ok(spgemm_with_stats(a, b, MergeKind::Streaming)?.0)
+    Ok(spgemm_with_stats(a, b, MergeKind::Blocked)?.0)
 }
 
 /// [`spgemm`] with full phase statistics and a selectable merge algorithm.
@@ -66,69 +65,15 @@ pub fn spgemm_with_stats(
     // without doing (or charging) any work.
     ops::check_spgemm_dims((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))?;
     let (a_cc, conversion) = csr_to_csc_via_outer(a);
-    let (pp, mul) = multiply(&a_cc, b)?;
-    let intermediate_bytes = pp.memory_footprint_bytes();
-    let (c, mrg) = merge(pp, kind);
-    Ok((c, SpGemmReport { conversion, multiply: mul, merge: mrg, intermediate_bytes }))
-}
-
-/// [`spgemm_with_stats`] on the arena fast path: the multiply phase writes
-/// scaled chunks straight into a flat arena (six allocations total instead
-/// of one per chunk) and the chosen merge reads slice pairs out of it.
-/// Produces results bitwise-identical to the chunk-list pipeline.
-///
-/// # Errors
-///
-/// Returns [`SparseError::ShapeMismatch`] if `a.ncols() != b.nrows()`.
-pub fn spgemm_arena(
-    a: &Csr,
-    b: &Csr,
-    kind: MergeKind,
-) -> Result<(Csr, SpGemmReport), SparseError> {
-    ops::check_spgemm_dims((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))?;
-    let (a_cc, conversion) = csr_to_csc_via_outer(a);
-    let (ap, mul) = multiply_arena(&a_cc, b)?;
+    let (ap, mul) = multiply(&a_cc, b)?;
     let intermediate_bytes = ap.memory_footprint_bytes();
-    let (c, mrg) = merge_arena(&ap, kind);
+    let (c, mrg) = merge(&ap, kind);
     Ok((c, SpGemmReport { conversion, multiply: mul, merge: mrg, intermediate_bytes }))
 }
 
-/// The full software fast path: arena multiply + cache-blocked merge
-/// ([`MergeKind::Blocked`]). Shorthand for
-/// `spgemm_arena(a, b, MergeKind::Blocked)`.
-///
-/// # Errors
-///
-/// Returns [`SparseError::ShapeMismatch`] if `a.ncols() != b.nrows()`.
-pub fn spgemm_blocked(a: &Csr, b: &Csr) -> Result<(Csr, SpGemmReport), SparseError> {
-    spgemm_arena(a, b, MergeKind::Blocked)
-}
-
-/// The parallel software fast path: work-stealing arena multiply +
-/// work-stealing blocked merge. Deterministic — the result is
-/// byte-identical to [`spgemm_blocked`] for every thread count.
-///
-/// # Errors
-///
-/// Returns [`SparseError::ShapeMismatch`] if `a.ncols() != b.nrows()`.
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-pub fn spgemm_arena_parallel(
-    a: &Csr,
-    b: &Csr,
-    n_threads: usize,
-) -> Result<(Csr, SpGemmReport), SparseError> {
-    ops::check_spgemm_dims((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))?;
-    let (a_cc, conversion) = csr_to_csc_via_outer(a);
-    let (ap, mul) = multiply_arena_parallel(&a_cc, b, n_threads)?;
-    let intermediate_bytes = ap.memory_footprint_bytes();
-    let (c, mrg) = merge_arena_parallel(&ap, MergeKind::Blocked, n_threads);
-    Ok((c, SpGemmReport { conversion, multiply: mul, merge: mrg, intermediate_bytes }))
-}
-
-/// Computes `C = A × B` with `n_threads` work-stealing workers in both phases.
+/// Computes `C = A × B` with `n_threads` work-stealing workers in both
+/// phases and the [`MergeKind::Blocked`] merge. Deterministic: the result
+/// is byte-identical to [`spgemm`] for every thread count.
 ///
 /// # Errors
 ///
@@ -144,9 +89,9 @@ pub fn spgemm_parallel(
 ) -> Result<(Csr, SpGemmReport), SparseError> {
     ops::check_spgemm_dims((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))?;
     let (a_cc, conversion) = csr_to_csc_via_outer(a);
-    let (pp, mul) = multiply_parallel(&a_cc, b, n_threads)?;
-    let intermediate_bytes = pp.memory_footprint_bytes();
-    let (c, mrg) = merge_parallel(pp, MergeKind::Streaming, n_threads);
+    let (ap, mul) = multiply_parallel(&a_cc, b, n_threads)?;
+    let intermediate_bytes = ap.memory_footprint_bytes();
+    let (c, mrg) = merge_parallel(&ap, MergeKind::Blocked, n_threads);
     Ok((c, SpGemmReport { conversion, multiply: mul, merge: mrg, intermediate_bytes }))
 }
 
@@ -169,20 +114,9 @@ pub fn spgemm_cc(a: &Csr, b: &Csr) -> Result<Csc, SparseError> {
     // Bᵀ in CC format is just B's arrays relabelled; same for Aᵀ in CR.
     let bt_cc: Csc = b.clone().into_csc_transposed();
     let at_cr: Csr = a.clone().to_csc().into_csr_transposed();
-    let (pp, _) = multiply(&bt_cc, &at_cr)?;
-    let (ct, _) = merge(pp, MergeKind::Streaming);
+    let (ap, _) = multiply(&bt_cc, &at_cr)?;
+    let (ct, _) = merge(&ap, MergeKind::Blocked);
     Ok(ct.into_csc_transposed())
-}
-
-/// Convenience: run the multiply phase only and return the intermediate
-/// structure (used by the simulator's trace generation and by benchmarks
-/// that time the phases separately, as Figs. 3 and 4 do).
-///
-/// # Errors
-///
-/// Returns [`SparseError::ShapeMismatch`] if `a.ncols() != b.nrows()`.
-pub fn multiply_only(a: &Csc, b: &Csr) -> Result<PartialProducts, SparseError> {
-    Ok(multiply(a, b)?.0)
 }
 
 #[cfg(test)]
@@ -253,27 +187,34 @@ mod tests {
 
     #[test]
     fn arena_paths_are_bitwise_identical_to_chunk_list_path() {
+        // The paper's pipeline (§4): per-row chunk lists merged by the
+        // streaming multi-way merge. Every driver must reproduce it bit for
+        // bit, with identical phase counters.
         let (a, b) = random_pair(96, 1000, 55);
         let (c_list, r_list) = spgemm_with_stats(&a, &b, MergeKind::Streaming).unwrap();
-        let (c_arena, r_arena) = spgemm_arena(&a, &b, MergeKind::Streaming).unwrap();
-        let (c_blocked, _) = spgemm_blocked(&a, &b).unwrap();
-        let (c_par, _) = spgemm_arena_parallel(&a, &b, 4).unwrap();
-        assert_eq!(c_list, c_arena);
+        let (c_sort, r_sort) = spgemm_with_stats(&a, &b, MergeKind::SortBased).unwrap();
+        let (c_blocked, r_blocked) = spgemm_with_stats(&a, &b, MergeKind::Blocked).unwrap();
+        let (c_par, r_par) = spgemm_parallel(&a, &b, 4).unwrap();
+        assert_eq!(c_list, c_sort);
         assert_eq!(c_list, c_blocked);
+        assert_eq!(c_list, spgemm(&a, &b).unwrap());
         assert_eq!(c_list, c_par);
-        assert_eq!(r_list.multiply, r_arena.multiply);
-        assert_eq!(r_list.merge, r_arena.merge);
-        // The arena drops the per-chunk Vec bookkeeping, so its recorded
-        // intermediate footprint must come in under the chunk lists'.
-        assert!(r_arena.intermediate_bytes < r_list.intermediate_bytes);
+        assert_eq!(c_list, spgemm_cc(&a, &b).unwrap().to_csr());
+        for r in [r_sort, r_blocked, r_par] {
+            assert_eq!(r_list.multiply, r.multiply);
+            assert_eq!(r_list.intermediate_bytes, r.intermediate_bytes);
+            assert_eq!(r_list.merge.output_entries, r.merge.output_entries);
+            assert_eq!(r_list.merge.collisions, r.merge.collisions);
+        }
+        assert_eq!(r_blocked.merge, r_par.merge);
     }
 
     #[test]
     fn arena_report_identities_hold() {
         let (a, b) = random_pair(64, 500, 77);
         for report in [
-            spgemm_blocked(&a, &b).unwrap().1,
-            spgemm_arena_parallel(&a, &b, 3).unwrap().1,
+            spgemm_with_stats(&a, &b, MergeKind::Blocked).unwrap().1,
+            spgemm_parallel(&a, &b, 3).unwrap().1,
         ] {
             assert_eq!(report.merge.bytes_read, report.multiply.bytes_written);
             assert_eq!(

@@ -1,10 +1,11 @@
-//! Property tests for the arena/blocked fast paths: for every adversarial
-//! operand shape, the arena multiply and the cache-blocked merge must
-//! produce output triples *identical* to the chunk-list + streaming
-//! reference path — not merely approximately equal. Both families
-//! accumulate collisions in chunk-index order and reconstruct parallel
-//! output in item order, so `==` on the result `Csr` (pointers, columns,
-//! and bit-patterns of the values) is the contract under test.
+//! Exactness properties of the merge family: for every adversarial operand
+//! shape, every [`MergeKind`], sequential and on 1/2/3/5 threads, must
+//! produce output *identical* to the others — not merely approximately
+//! equal. All kinds accumulate collisions in chunk-index order and the
+//! parallel paths reconstruct output in item order, so `==` on the result
+//! `Csr` (pointers, columns, and bit-patterns of the values) is the
+//! contract under test. The anchor is the sort-based merge: a stable sort
+//! of each row's concatenated chunks, whose summation order is evident.
 //!
 //! An independent Gustavson implementation anchors the whole family to a
 //! non-outer-product reference (approximate equality there: different
@@ -13,25 +14,39 @@
 use outerspace_baselines::gustavson;
 use outerspace_gen::{powerlaw, rmat, uniform};
 use outerspace_outer::{
-    spgemm, spgemm_arena, spgemm_arena_parallel, spgemm_blocked, MergeKind,
+    merge, merge_parallel, multiply, multiply_parallel, spgemm, spgemm_parallel,
+    spgemm_with_stats, MergeKind,
 };
 use outerspace_sparse::{Coo, Csr, Index};
 
-/// Every fast path against the chunk-list reference on one operand pair.
+const KINDS: [MergeKind; 3] = [MergeKind::Streaming, MergeKind::SortBased, MergeKind::Blocked];
+const THREAD_COUNTS: [usize; 4] = [1, 2, 3, 5];
+
+/// Every merge kind × {sequential, each thread count}, through the phase
+/// functions and the drivers, against the sort-based anchor.
 fn assert_all_paths_identical(a: &Csr, b: &Csr, label: &str) {
-    let reference = spgemm(a, b).unwrap_or_else(|e| panic!("{label}: reference failed: {e}"));
-    for kind in [MergeKind::Streaming, MergeKind::SortBased, MergeKind::Blocked] {
-        let (c, _) = spgemm_arena(a, b, kind).unwrap();
-        assert_eq!(c, reference, "{label}: arena/{kind:?} diverged");
+    let (anchor, _) = spgemm_with_stats(a, b, MergeKind::SortBased)
+        .unwrap_or_else(|e| panic!("{label}: anchor failed: {e}"));
+    let a_cc = a.to_csc();
+    let (ap, _) = multiply(&a_cc, b).unwrap();
+    for kind in KINDS {
+        let (c, _) = spgemm_with_stats(a, b, kind).unwrap();
+        assert_eq!(c, anchor, "{label}: {kind:?} diverged");
+        for threads in THREAD_COUNTS {
+            let (par_ap, _) = multiply_parallel(&a_cc, b, threads).unwrap();
+            let (c, _) = merge(&par_ap, kind);
+            assert_eq!(c, anchor, "{label}: {kind:?} after multiply({threads}) diverged");
+            let (c, _) = merge_parallel(&ap, kind, threads);
+            assert_eq!(c, anchor, "{label}: {kind:?} merge({threads}) diverged");
+        }
     }
-    let (c, _) = spgemm_blocked(a, b).unwrap();
-    assert_eq!(c, reference, "{label}: blocked diverged");
-    for threads in [1, 2, 3, 5] {
-        let (c, _) = spgemm_arena_parallel(a, b, threads).unwrap();
-        assert_eq!(c, reference, "{label}: arena_parallel({threads}) diverged");
+    assert_eq!(spgemm(a, b).unwrap(), anchor, "{label}: spgemm diverged");
+    for threads in THREAD_COUNTS {
+        let (c, _) = spgemm_parallel(a, b, threads).unwrap();
+        assert_eq!(c, anchor, "{label}: spgemm_parallel({threads}) diverged");
     }
     let (gus, _) = gustavson::spgemm(a, b).unwrap();
-    assert!(reference.approx_eq(&gus, 1e-9), "{label}: diverged from Gustavson");
+    assert!(anchor.approx_eq(&gus, 1e-9), "{label}: diverged from Gustavson");
 }
 
 #[test]
@@ -74,7 +89,7 @@ fn dense_column_skew_makes_one_giant_merge_row() {
     for seed in [2, 9] {
         // Every non-zero of A lives in column 0; paired with a dense row 0
         // of B, every result row is one enormous chunk (the worst case for
-        // chunk allocation, the best case for the arena).
+        // per-chunk allocation, the best case for the arena).
         let n: Index = 80;
         let mut col = Coo::new(n, n);
         let mut row = Coo::new(n, n);

@@ -6,41 +6,51 @@
 //! actual merging happens.
 
 use outerspace_baselines::gustavson;
-use outerspace_outer::{merge, merge_parallel, multiply, Chunk, MergeKind, PartialProducts};
-use outerspace_sparse::{Csr, Index, Value};
+use outerspace_outer::{merge, merge_parallel, multiply, ArenaProducts, MergeKind};
+use outerspace_sparse::{Coo, Csr, Index, Value};
 
-fn chunk(entries: &[(Index, Value)]) -> Chunk {
-    Chunk {
-        cols: entries.iter().map(|&(c, _)| c).collect(),
-        vals: entries.iter().map(|&(_, v)| v).collect(),
+type Chunk<'a> = &'a [(Index, Value)];
+
+/// An intermediate whose row `i` holds exactly the chunks `rows[i]`, in
+/// order, built by the multiply phase itself: the `k`-th chunk overall
+/// becomes row `k` of `B`, and `A` has a `1` at `(i, k)` when that chunk
+/// belongs to row `i` — so row `i`'s chunks are `1 · B[k,:]` in `k` order.
+fn arena(ncols: Index, rows: &[&[Chunk]]) -> ArenaProducts {
+    let n_chunks = rows.iter().map(|r| r.len()).sum::<usize>() as Index;
+    let mut a = Coo::new(rows.len() as Index, n_chunks);
+    let mut b = Coo::new(n_chunks, ncols);
+    let mut k = 0;
+    for (i, chunks) in rows.iter().enumerate() {
+        for chunk in *chunks {
+            a.push(i as Index, k, 1.0);
+            for &(c, v) in *chunk {
+                b.push(k, c, v);
+            }
+            k += 1;
+        }
     }
-}
-
-/// Builds identical partial products twice (merge consumes them).
-fn twin_pp<F: Fn(&mut PartialProducts)>(
-    nrows: Index,
-    ncols: Index,
-    fill: F,
-) -> (PartialProducts, PartialProducts) {
-    let mut a = PartialProducts::new(nrows, ncols);
-    let mut b = PartialProducts::new(nrows, ncols);
-    fill(&mut a);
-    fill(&mut b);
-    (a, b)
+    let (ap, _) = multiply(&a.to_csc(), &b.to_csr()).unwrap();
+    for (i, chunks) in rows.iter().enumerate() {
+        assert_eq!(ap.row_chunk_count(i as Index), chunks.len(), "row {i} chunk list");
+    }
+    ap
 }
 
 #[test]
 fn duplicate_columns_across_many_chunks_accumulate_once() {
     // Column 5 appears in every chunk; both algorithms must sum all four
     // contributions into a single output entry.
-    let (pp1, pp2) = twin_pp(1, 16, |pp| {
-        pp.push_chunk(0, chunk(&[(2, 1.0), (5, 0.25)]));
-        pp.push_chunk(0, chunk(&[(5, 0.25), (9, 2.0)]));
-        pp.push_chunk(0, chunk(&[(5, 0.25)]));
-        pp.push_chunk(0, chunk(&[(0, 3.0), (5, 0.25), (14, 4.0)]));
-    });
-    let (c1, s1) = merge(pp1, MergeKind::Streaming);
-    let (c2, s2) = merge(pp2, MergeKind::SortBased);
+    let ap = arena(
+        16,
+        &[&[
+            &[(2, 1.0), (5, 0.25)],
+            &[(5, 0.25), (9, 2.0)],
+            &[(5, 0.25)],
+            &[(0, 3.0), (5, 0.25), (14, 4.0)],
+        ]],
+    );
+    let (c1, s1) = merge(&ap, MergeKind::Streaming);
+    let (c2, s2) = merge(&ap, MergeKind::SortBased);
     assert_eq!(c1, c2);
     assert_eq!(c1.row(0).0, &[0, 2, 5, 9, 14]);
     assert_eq!(c1.get(0, 5), 1.0);
@@ -56,12 +66,9 @@ fn zero_sum_cancellation_keeps_an_explicit_zero() {
     // streams its output, it cannot retract an allocation. Downstream
     // comparisons treat explicit zeros as absent (see the oracle's
     // canonicalization), but the phase-level contract is "sum, keep".
-    let (pp1, pp2) = twin_pp(1, 8, |pp| {
-        pp.push_chunk(0, chunk(&[(3, 1.0), (6, 2.0)]));
-        pp.push_chunk(0, chunk(&[(3, -1.0)]));
-    });
-    let (c1, s1) = merge(pp1, MergeKind::Streaming);
-    let (c2, _) = merge(pp2, MergeKind::SortBased);
+    let ap = arena(8, &[&[&[(3, 1.0), (6, 2.0)], &[(3, -1.0)]]]);
+    let (c1, s1) = merge(&ap, MergeKind::Streaming);
+    let (c2, _) = merge(&ap, MergeKind::SortBased);
     assert_eq!(c1, c2);
     assert_eq!(c1.row(0).0, &[3, 6], "cancelled column is still present");
     assert_eq!(c1.get(0, 3), 0.0);
@@ -73,12 +80,10 @@ fn single_chunk_rows_pass_through_unchanged() {
     // One chunk per row: nothing to merge, output must be the chunk verbatim
     // with zero collisions — and both algorithms agree on the stats.
     let entries: Vec<(Index, Value)> = vec![(1, 0.5), (4, -2.0), (7, 3.25)];
-    let (pp1, pp2) = twin_pp(2, 8, |pp| {
-        pp.push_chunk(0, chunk(&entries));
-        // Row 1 left empty: the empty-row path rides along.
-    });
-    let (c1, s1) = merge(pp1, MergeKind::Streaming);
-    let (c2, s2) = merge(pp2, MergeKind::SortBased);
+    // Row 1 left empty: the empty-row path rides along.
+    let ap = arena(8, &[&[&entries], &[]]);
+    let (c1, s1) = merge(&ap, MergeKind::Streaming);
+    let (c2, s2) = merge(&ap, MergeKind::SortBased);
     assert_eq!(c1, c2);
     assert_eq!(c1.row(0).0, &[1, 4, 7]);
     assert_eq!(c1.row(0).1, &[0.5, -2.0, 3.25]);
@@ -112,13 +117,12 @@ fn merged_products_match_gustavson_baseline() {
     ];
     for (a, b) in workloads {
         let (want, _) = gustavson::spgemm(&a, &b).expect("compatible shapes");
+        let (ap, _) = multiply(&a.to_csc(), &b).unwrap();
         for kind in [MergeKind::Streaming, MergeKind::SortBased] {
-            let (pp, _) = multiply(&a.to_csc(), &b).unwrap();
-            let (c, _) = merge(pp, kind);
+            let (c, _) = merge(&ap, kind);
             assert!(c.approx_eq(&want, 1e-9), "{kind:?} diverges from Gustavson");
         }
-        let (pp, _) = multiply(&a.to_csc(), &b).unwrap();
-        let (c_par, _) = merge_parallel(pp, MergeKind::Streaming, 3);
+        let (c_par, _) = merge_parallel(&ap, MergeKind::Streaming, 3);
         assert!(c_par.approx_eq(&want, 1e-9), "parallel merge diverges");
     }
 }
@@ -127,16 +131,20 @@ fn merged_products_match_gustavson_baseline() {
 fn streaming_and_sort_based_agree_on_adversarial_chunk_layouts() {
     // Chunks with interleaved, overlapping, and disjoint column ranges —
     // the orderings that stress the heap refill logic.
-    let (pp1, pp2) = twin_pp(3, 32, |pp| {
-        pp.push_chunk(0, chunk(&[(0, 1.0), (10, 1.0), (20, 1.0), (30, 1.0)]));
-        pp.push_chunk(0, chunk(&[(5, 1.0), (15, 1.0), (25, 1.0)]));
-        pp.push_chunk(0, chunk(&[(0, 1.0), (31, 1.0)]));
-        pp.push_chunk(1, chunk(&[(7, -1.0), (8, -1.0), (9, -1.0)]));
-        pp.push_chunk(1, chunk(&[(7, 1.0), (8, 1.0), (9, 1.0)]));
-        pp.push_chunk(2, chunk(&[(16, 2.0)]));
-    });
-    let (c1, s1) = merge(pp1, MergeKind::Streaming);
-    let (c2, s2) = merge(pp2, MergeKind::SortBased);
+    let ap = arena(
+        32,
+        &[
+            &[
+                &[(0, 1.0), (10, 1.0), (20, 1.0), (30, 1.0)],
+                &[(5, 1.0), (15, 1.0), (25, 1.0)],
+                &[(0, 1.0), (31, 1.0)],
+            ],
+            &[&[(7, -1.0), (8, -1.0), (9, -1.0)], &[(7, 1.0), (8, 1.0), (9, 1.0)]],
+            &[&[(16, 2.0)]],
+        ],
+    );
+    let (c1, s1) = merge(&ap, MergeKind::Streaming);
+    let (c2, s2) = merge(&ap, MergeKind::SortBased);
     assert_eq!(c1, c2);
     assert_eq!(s1.collisions, s2.collisions);
     assert_eq!(s1.output_entries, s2.output_entries);

@@ -6,7 +6,7 @@
 
 use outerspace_gen::{rmat, uniform};
 use outerspace_outer::{
-    condense, sparch_structural_plan, spgemm_blocked, spgemm_sparch_with_plan, SparchPlan,
+    condense, sparch_structural_plan, spgemm, spgemm_sparch_with_plan, SparchPlan,
 };
 use outerspace_sparse::{Coo, Csr, Index};
 
@@ -14,7 +14,7 @@ use outerspace_sparse::{Coo, Csr, Index};
 fn assert_plans_equal(a: &Csr, b: &Csr, ways: usize, label: &str) -> SparchPlan {
     let (_, want) = spgemm_sparch_with_plan(a, b, ways).unwrap();
     // The models pass nnz(C) of the arena + blocked product.
-    let (c, _) = spgemm_blocked(a, b).unwrap();
+    let c = spgemm(a, b).unwrap();
     let got = sparch_structural_plan(a, b, ways, c.nnz() as u64).unwrap();
     assert_eq!(got, want, "{label}: structural plan diverged at ways {ways}");
     want

@@ -9,8 +9,8 @@
 
 use outerspace_gen::{rmat, uniform};
 use outerspace_outer::{
-    merge_arena, merge_arena_parallel, multiply_arena, multiply_arena_parallel,
-    spgemm_arena_parallel, spgemm_blocked, sum_all_parallel, worksteal, MergeKind,
+    merge, merge_parallel, multiply, multiply_parallel, spgemm, spgemm_parallel,
+    sum_all_parallel, worksteal, MergeKind,
 };
 use outerspace_sparse::Csr;
 
@@ -27,9 +27,9 @@ fn same_seed_and_thread_count_is_byte_identical_across_runs() {
     for seed in [1, 17] {
         let (a, b) = operands(seed);
         for threads in THREAD_COUNTS {
-            let (first, _) = spgemm_arena_parallel(&a, &b, threads).unwrap();
+            let (first, _) = spgemm_parallel(&a, &b, threads).unwrap();
             for _ in 0..3 {
-                let (again, _) = spgemm_arena_parallel(&a, &b, threads).unwrap();
+                let (again, _) = spgemm_parallel(&a, &b, threads).unwrap();
                 assert_eq!(
                     again, first,
                     "seed {seed}, {threads} threads: output changed between runs"
@@ -43,9 +43,9 @@ fn same_seed_and_thread_count_is_byte_identical_across_runs() {
 fn thread_count_does_not_change_the_product() {
     for seed in [2, 23] {
         let (a, b) = operands(seed);
-        let (sequential, _) = spgemm_blocked(&a, &b).unwrap();
+        let sequential = spgemm(&a, &b).unwrap();
         for threads in THREAD_COUNTS {
-            let (par, _) = spgemm_arena_parallel(&a, &b, threads).unwrap();
+            let (par, _) = spgemm_parallel(&a, &b, threads).unwrap();
             assert_eq!(par, sequential, "seed {seed}: {threads} threads != sequential");
         }
     }
@@ -55,13 +55,13 @@ fn thread_count_does_not_change_the_product() {
 fn multiply_and_merge_stages_are_individually_thread_invariant() {
     let (a, b) = operands(5);
     let a_cc = a.to_csc();
-    let (seq_ap, seq_stats) = multiply_arena(&a_cc, &b).unwrap();
-    let (seq_merged, _) = merge_arena(&seq_ap, MergeKind::Blocked);
+    let (seq_ap, seq_stats) = multiply(&a_cc, &b).unwrap();
+    let (seq_merged, _) = merge(&seq_ap, MergeKind::Blocked);
     for threads in THREAD_COUNTS {
         // The stolen multiply must produce the same arena contents (observed
         // through the merge, which reads chunks in item order) and the same
         // aggregate stats.
-        let (par_ap, par_stats) = multiply_arena_parallel(&a_cc, &b, threads).unwrap();
+        let (par_ap, par_stats) = multiply_parallel(&a_cc, &b, threads).unwrap();
         assert_eq!(
             par_stats.elementary_products, seq_stats.elementary_products,
             "{threads} threads: flop count diverged"
@@ -71,9 +71,9 @@ fn multiply_and_merge_stages_are_individually_thread_invariant() {
             "{threads} threads: chunk count diverged"
         );
         for kind in [MergeKind::Streaming, MergeKind::SortBased, MergeKind::Blocked] {
-            let (merged, _) = merge_arena(&par_ap, kind);
+            let (merged, _) = merge(&par_ap, kind);
             assert_eq!(merged, seq_merged, "{threads} threads, {kind:?}: merge diverged");
-            let (merged_par, _) = merge_arena_parallel(&par_ap, kind, threads);
+            let (merged_par, _) = merge_parallel(&par_ap, kind, threads);
             assert_eq!(
                 merged_par, seq_merged,
                 "{threads} threads, {kind:?}: parallel merge diverged"

@@ -29,7 +29,6 @@ pub const SPGEMM_KERNELS: &[&str] = &[
     "mkl_gustavson_par",
     "outer_streaming",
     "outer_blocked",
-    "outer_par",
     "outer_ws_par",
     "cusparse_hash",
     "sim",
@@ -95,13 +94,12 @@ pub fn run_spgemm(
         "mkl_gustavson_par" => baselines::gustavson::spgemm_parallel(a, b, PAR_THREADS)
             .map(|(c, _)| c)
             .map_err(perm),
-        "outer_streaming" => outer::spgemm(a, b).map_err(perm),
-        "outer_blocked" => outer::spgemm_blocked(a, b).map(|(c, _)| c).map_err(perm),
-        "outer_par" => {
-            outer::spgemm_parallel(a, b, PAR_THREADS).map(|(c, _)| c).map_err(perm)
-        }
+        "outer_streaming" => outer::spgemm_with_stats(a, b, outer::MergeKind::Streaming)
+            .map(|(c, _)| c)
+            .map_err(perm),
+        "outer_blocked" => outer::spgemm(a, b).map_err(perm),
         "outer_ws_par" => {
-            outer::spgemm_arena_parallel(a, b, PAR_THREADS).map(|(c, _)| c).map_err(perm)
+            outer::spgemm_parallel(a, b, PAR_THREADS).map(|(c, _)| c).map_err(perm)
         }
         "cusparse_hash" => baselines::hash::spgemm(a, b).map(|(c, _)| c).map_err(perm),
         "sim" => {

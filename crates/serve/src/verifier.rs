@@ -170,7 +170,7 @@ mod tests {
         let off = VerifyPolicy { enabled: false, ..VerifyPolicy::default() };
         assert!(!must_verify(&off, "sim", 0));
         let no_scrub = VerifyPolicy { scrub_every: 0, ..VerifyPolicy::default() };
-        assert!(!must_verify(&no_scrub, "outer_par", 0));
+        assert!(!must_verify(&no_scrub, "outer_ws_par", 0));
         assert!(must_verify(&no_scrub, "sim", 1));
     }
 

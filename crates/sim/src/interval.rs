@@ -451,10 +451,7 @@ fn structural_merge_outerspace(
         }
         let out = union.row_out_len(a.row(i).0, b);
         out_nnz += out;
-        rows_info.push(RowMergeInfo {
-            out_len: out as u32,
-            collisions: prod.saturating_sub(out) as u32,
-        });
+        rows_info.push(RowMergeInfo::checked(i, prod, out, b.ncols())?);
     }
 
     let tiles = (cfg.n_tiles / stride).max(1);

@@ -21,10 +21,11 @@
 //! [`SimReport`](crate::SimReport)s, energy estimates, and utilization
 //! plots without knowing which machine ran.
 //!
-//! Both machines take the functional result from the software fast path,
-//! the arena multiply plus the cache-blocked merge, which is bit-identical
-//! to the paper's chunk-list + streaming pipeline. The timing models read
-//! only shapes from it: per-row output lengths for the OuterSPACE merge,
+//! Both machines take the functional result from the software fast path:
+//! [`outer::multiply`] into the arena intermediate, then [`outer::merge`]
+//! with the cache-blocked merge, which is bit-identical to the paper's
+//! streaming merge over the same chunks. The timing models read only
+//! shapes from it: per-row output lengths for the OuterSPACE merge,
 //! `nnz(C)` for the SpArch plan, which is otherwise built from the
 //! operands' structure ([`outer::sparch_structural_plan`]).
 
@@ -93,8 +94,8 @@ pub trait MachineModel: std::fmt::Debug + Sync {
 /// The functional product both machines return: arena multiply plus
 /// cache-blocked merge, summing collisions in `k` order.
 fn functional_product(a_cc: &Csc, b: &Csr) -> Result<Csr, SimError> {
-    let (products, _) = outer::multiply_arena(a_cc, b)?;
-    Ok(outer::merge_arena(&products, outer::MergeKind::Blocked).0)
+    let (products, _) = outer::multiply(a_cc, b)?;
+    Ok(outer::merge(&products, outer::MergeKind::Blocked).0)
 }
 
 /// The OuterSPACE pipeline (§4–§5 of the paper).

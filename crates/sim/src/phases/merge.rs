@@ -19,7 +19,7 @@
 //! the shared loop in [`crate::engine`] owns worker dispatch, fault hooks
 //! and stat collection.
 
-use outerspace_sparse::Csr;
+use outerspace_sparse::{Csr, Index};
 
 use crate::config::OuterSpaceConfig;
 use crate::engine::{self, Batch, CycleBreakdown, Feedback, PeCtx, PhaseKernel, Step};
@@ -41,9 +41,39 @@ pub struct RowMergeInfo {
     pub collisions: u32,
 }
 
+impl RowMergeInfo {
+    /// The checked merge shape of result row `row`: `produced` elementary
+    /// products merge down to `out_len` entries of a row `ncols` wide, and
+    /// the difference is the row's collisions.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MergeCountOverflow`] when the collisions exceed `u32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out_len > ncols`: a merged row holds at most one entry
+    /// per column.
+    pub fn checked(
+        row: Index,
+        produced: u64,
+        out_len: u64,
+        ncols: Index,
+    ) -> Result<RowMergeInfo, SimError> {
+        let out_len = u32::try_from(out_len)
+            .ok()
+            .filter(|&n| n <= ncols)
+            .expect("a merged row holds at most ncols entries");
+        let excess = produced.saturating_sub(u64::from(out_len));
+        let collisions = u32::try_from(excess)
+            .map_err(|_| SimError::MergeCountOverflow { row, collisions: excess })?;
+        Ok(RowMergeInfo { out_len, collisions })
+    }
+}
+
 /// Per-row merge shapes of `layout` given the merged result `c`: each row's
 /// output length, and its collisions as the elements the layout holds for
-/// the row minus that length.
+/// the row minus that length ([`RowMergeInfo::checked`]).
 ///
 /// # Errors
 ///
@@ -59,15 +89,8 @@ pub fn row_merge_infos(
     assert_eq!(c.nrows(), layout.nrows(), "result rows must align with the layout");
     (0..layout.nrows())
         .map(|i| {
-            let out_len = u32::try_from(c.row_nnz(i))
-                .ok()
-                .filter(|&n| n <= c.ncols())
-                .expect("a CSR row holds at most ncols entries");
             let produced: u64 = layout.row(i).iter().map(|ch| u64::from(ch.len)).sum();
-            let excess = produced.saturating_sub(u64::from(out_len));
-            let collisions = u32::try_from(excess)
-                .map_err(|_| SimError::MergeCountOverflow { row: i, collisions: excess })?;
-            Ok(RowMergeInfo { out_len, collisions })
+            RowMergeInfo::checked(i, produced, c.row_nnz(i) as u64, c.ncols())
         })
         .collect()
 }
@@ -292,7 +315,7 @@ mod tests {
     fn layout_and_rows(a: &Csr) -> (IntermediateLayout, Vec<RowMergeInfo>) {
         let cfg = OuterSpaceConfig::default();
         let (_, layout) = simulate_multiply(&cfg, &a.to_csc(), a).unwrap();
-        let (c, _) = outerspace_outer::spgemm_blocked(a, a).unwrap();
+        let c = outerspace_outer::spgemm(a, a).unwrap();
         let rows = row_merge_infos(&layout, &c).unwrap();
         (layout, rows)
     }
@@ -321,6 +344,26 @@ mod tests {
         let err = row_merge_infos(&layout, &c).unwrap_err();
         let want = SimError::MergeCountOverflow { row: 1, collisions: u64::from(u32::MAX) + 2 };
         assert_eq!(err, want);
+    }
+
+    #[test]
+    fn checked_row_info_splits_products_and_rejects_overflow() {
+        let info = RowMergeInfo::checked(3, 10, 4, 8).unwrap();
+        assert_eq!((info.out_len, info.collisions), (4, 6));
+        // Fewer products than outputs saturates to zero collisions.
+        let info = RowMergeInfo::checked(3, 2, 4, 8).unwrap();
+        assert_eq!((info.out_len, info.collisions), (4, 0));
+        let max = u64::from(u32::MAX);
+        let info = RowMergeInfo::checked(0, max + 8, 8, 8).unwrap();
+        assert_eq!(info.collisions, u32::MAX);
+        let err = RowMergeInfo::checked(7, max + 9, 8, 8).unwrap_err();
+        assert_eq!(err, SimError::MergeCountOverflow { row: 7, collisions: max + 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "at most ncols entries")]
+    fn checked_row_info_rejects_rows_wider_than_the_matrix() {
+        let _ = RowMergeInfo::checked(0, 10, 9, 8);
     }
 
     #[test]

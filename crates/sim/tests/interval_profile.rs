@@ -35,8 +35,8 @@ fn profile_interval_components() {
             // SpArch plan built from it.
             let (c, func_ms) = time(|| {
                 let (a_cc, _) = outer::csr_to_csc_via_outer(a);
-                let (products, _) = outer::multiply_arena(&a_cc, a).unwrap();
-                outer::merge_arena(&products, outer::MergeKind::Blocked).0
+                let (products, _) = outer::multiply(&a_cc, a).unwrap();
+                outer::merge(&products, outer::MergeKind::Blocked).0
             });
             let ways = cfg.merge_tree_ways as usize;
             let (_, sparch_plan_ms) = time(|| {

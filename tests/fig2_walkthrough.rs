@@ -50,23 +50,22 @@ fn empty_row_of_b_forms_no_outer_product() {
 #[test]
 fn chunk_lists_match_figure_layout() {
     let (a, b) = fig2_matrices();
-    let (pp, stats) = multiply(&a.to_csc(), &b).unwrap();
+    let (ap, stats) = multiply(&a.to_csc(), &b).unwrap();
     // One chunk per non-zero of each active column of A: 2 + 2 + 2 = 6.
     assert_eq!(stats.chunks, 6);
+    assert_eq!(ap.total_chunks(), 6);
     // Result row 0 receives chunks from k=0 (a00=2) and k=3 (a03=1).
-    assert_eq!(pp.row_chunks(0).len(), 2);
+    assert_eq!(ap.row_chunk_count(0), 2);
     // Result row 2 receives one chunk (a20=4 scaling row 0 of B).
-    let r2 = pp.row_chunks(2);
-    assert_eq!(r2.len(), 1);
-    assert_eq!(r2[0].cols, vec![1, 2]);
-    assert_eq!(r2[0].vals, vec![4.0, 8.0]);
+    let r2: Vec<_> = ap.row_chunk_slices(2).collect();
+    assert_eq!(r2, [(&[1, 2][..], &[4.0, 8.0][..])]);
 }
 
 #[test]
 fn merged_result_matches_dense_oracle() {
     let (a, b) = fig2_matrices();
-    let (pp, _) = multiply(&a.to_csc(), &b).unwrap();
-    let (c, mstats) = merge(pp, MergeKind::Streaming);
+    let (ap, _) = multiply(&a.to_csc(), &b).unwrap();
+    let (c, mstats) = merge(&ap, MergeKind::Streaming);
     let want = a.to_dense().matmul(&b.to_dense());
     assert!(c.to_dense().approx_eq(&want, 1e-12));
     // Row 0 of C = 2*row0(B) + 1*row3(B) = [0,2,4,0] + [0,5,0,0]: one
