@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! dse [--space NAME|FILE] [--samples N] [--threads N] [--pareto-out FILE]
-//!     [--cache DIR] [--smoke] [--tier full|trace|interval] [--abort]
+//!     [--cache DIR] [--smoke] [--tier full|interval] [--abort]
 //!     [--windows N] [--stride N] [--validate N] [--tiers-out FILE]
 //!     [--min-speedup X] [--max-median-err X] [--min-within-bars X]
 //!     [--scale N] [--full] [--seed N] [--out DIR] [--resume]
@@ -22,8 +22,8 @@
 //! * `--pareto-out FILE` — where the Pareto report goes (default
 //!   `<out>/dse_<spec>_pareto.json`).
 //! * `--cache DIR` — the memo cache directory (default `<out>/dse_cache`).
-//! * `--tier` — evaluation tier: `full` (exact, default), `trace`
-//!   (trace-replay what-if), `interval` (sampled windows with error bars).
+//! * `--tier` — evaluation tier: `full` (exact, default) or `interval`
+//!   (sampled windows with error bars).
 //! * `--abort` — dominance early-abort: kill points whose lower bounds are
 //!   already Pareto-dominated (reported as explicit `aborted` outcomes).
 //! * `--windows N` / `--stride N` — interval-tier sampling parameters.
@@ -53,7 +53,7 @@ use outerspace_bench::{HarnessOpts, UsageError};
 use outerspace_json::{Json, ToJson};
 
 const USAGE: &str = "usage: dse [--space NAME|FILE] [--samples N] [--threads N] \
-     [--pareto-out FILE] [--cache DIR] [--smoke] [--tier full|trace|interval] \
+     [--pareto-out FILE] [--cache DIR] [--smoke] [--tier full|interval] \
      [--abort] [--windows N] [--stride N] [--validate N] [--tiers-out FILE] \
      [--min-speedup X] [--max-median-err X] [--min-within-bars X] \
      [--scale N] [--full] [--seed N] [--out DIR] [--resume] [--max-case-secs S]";

@@ -12,7 +12,7 @@
 //! point-level cache also makes the sweep resumable: a rerun (or a crash
 //! recovery) re-simulates only points that never completed.
 //!
-//! The sweep can route through any [`dse::EvalTier`] (full, trace-replay,
+//! The sweep can route through either [`dse::EvalTier`] (full or
 //! interval); interval-tier runs can additionally validate a deterministic
 //! sample against full-fidelity reruns and emit a *tier report*
 //! (`dse_<spec>_tiers.json`) carrying the calibrated error distribution,

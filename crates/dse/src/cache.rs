@@ -182,12 +182,6 @@ impl SimCache {
         Ok(SimCache { path, entries, skipped_lines: skipped })
     }
 
-    /// The directory holding the cache file — where sibling content-addressed
-    /// stores (the [`TraceStore`]) live.
-    pub fn dir(&self) -> &Path {
-        self.path.parent().unwrap_or_else(|| Path::new("."))
-    }
-
     /// Number of entries currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -225,60 +219,6 @@ impl SimCache {
         )?;
         self.entries.insert(material, metrics);
         Ok(())
-    }
-}
-
-/// Content-addressed store for recorded multiply traces (the trace-replay
-/// tier's artifacts). One JSON file per trace neighborhood —
-/// `trace_<hash>.json` beside the memo cache — holding the full key
-/// material (collision-guarded exactly like [`SimCache`]) plus an opaque
-/// payload the tier layer interprets (the serialized
-/// [`MultiplyTrace`](outerspace_sim::trace::MultiplyTrace) and the
-/// neighborhood-baseline stats). Traces are whole-file atomic: a torn write
-/// fails to parse and reads as a miss, forcing a clean re-record.
-#[derive(Debug)]
-pub struct TraceStore {
-    dir: PathBuf,
-}
-
-impl TraceStore {
-    /// A store rooted at `dir` (the cache directory; created on first use).
-    pub fn open(dir: &Path) -> TraceStore {
-        TraceStore { dir: dir.to_path_buf() }
-    }
-
-    fn path_for(&self, material: &str) -> PathBuf {
-        self.dir.join(format!("trace_{}.json", key_of(material)))
-    }
-
-    /// Loads the payload stored under `material`, or `None` on a miss, a
-    /// torn file, or a hash collision whose stored material differs.
-    pub fn load(&self, material: &str) -> Option<Json> {
-        let text = std::fs::read_to_string(self.path_for(material)).ok()?;
-        let j = outerspace_json::parse(&text).ok()?;
-        let stored = j.get("material").and_then(Json::as_str)?;
-        if stored != material {
-            return None;
-        }
-        j.get("payload").cloned()
-    }
-
-    /// Stores `payload` under `material`'s content address (atomic: write
-    /// to a temp file, then rename).
-    ///
-    /// # Errors
-    ///
-    /// Filesystem failure creating the directory or writing the file.
-    pub fn store(&self, material: &str, payload: Json) -> io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let doc = Json::Obj(vec![
-            ("material".into(), Json::Str(material.to_string())),
-            ("payload".into(), payload),
-        ]);
-        let path = self.path_for(material);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, doc.to_string_compact())?;
-        std::fs::rename(&tmp, &path)
     }
 }
 
@@ -361,7 +301,7 @@ mod tests {
         // *estimate* can never answer a full-fidelity lookup.
         let cfg = OuterSpaceConfig::default().to_json().to_string_compact();
         let wl = "{\"kind\":\"rmat\",\"n\":1024}";
-        let tiers = ["full", "trace", "interval"];
+        let tiers = ["full", "interval"];
         let keys: Vec<String> =
             tiers.iter().map(|t| key_of(&key_material(&cfg, wl, Some(2.0), t))).collect();
         for i in 0..keys.len() {
@@ -376,29 +316,6 @@ mod tests {
             key_of(&key_material(&cfg, wl, Some(2.0), "interval")),
             key_of(&key_material(other, wl, Some(2.0), "interval")),
         );
-    }
-
-    #[test]
-    fn trace_store_round_trips_and_guards_material() {
-        let dir = scratch("traces");
-        let store = TraceStore::open(&dir);
-        let mat = key_material("{\"cfg\":1}", "{\"wl\":1}", None, "trace");
-        assert!(store.load(&mat).is_none());
-        store.store(&mat, Json::Obj(vec![("macs".into(), Json::UInt(42))])).unwrap();
-        let back = store.load(&mat).expect("stored payload must load");
-        assert_eq!(back.get("macs").and_then(Json::as_u64), Some(42));
-        // Forge the stored material: the guarded load must miss.
-        let path = dir.join(format!("trace_{}.json", key_of(&mat)));
-        let doc = Json::Obj(vec![
-            ("material".into(), Json::Str("forged".into())),
-            ("payload".into(), Json::UInt(1)),
-        ]);
-        fs::write(&path, doc.to_string_compact()).unwrap();
-        assert!(store.load(&mat).is_none());
-        // A torn file parses as garbage and reads as a miss, not an error.
-        fs::write(&path, "{\"material\":").unwrap();
-        assert!(store.load(&mat).is_none());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

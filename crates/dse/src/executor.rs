@@ -11,9 +11,9 @@
 //! 2. probes the cache under its content address (which includes the
 //!    evaluation tier tag) — a hit costs one hash;
 //! 3. on a miss, synthesizes the workload and evaluates it through the
-//!    sweep's [`EvalTier`]: the full phase pipeline, a trace replay, or a
-//!    sampled-window interval estimate (see [`crate::tiers`]), priced by
-//!    the Table 6 area/power model.
+//!    sweep's [`EvalTier`]: the full phase pipeline or a sampled-window
+//!    interval estimate (see [`crate::tiers`]), priced by the Table 6
+//!    area/power model.
 //!
 //! With [`SweepOptions::abort`] set, points run in fixed-size rounds; a
 //! [`FrontierTracker`] frozen during each round supplies dominance abort
@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex};
 use outerspace_json::{Json, ToJson};
 use outerspace_sparse::Csr;
 
-use crate::cache::{key_material, SimCache, TraceStore};
+use crate::cache::{key_material, SimCache};
 use crate::spec::DsePoint;
 use crate::tiers::{self, EvalTier, FrontierTracker, SweepOptions, TierFailure};
 
@@ -139,11 +139,10 @@ pub fn run_sweep_opts(
     opts: &SweepOptions,
 ) -> SweepResult {
     let threads = threads.max(1).min(points.len().max(1));
-    let store = TraceStore::open(cache.dir());
     let shared_cache = Mutex::new(&mut *cache);
     // Workload synthesis memo, keyed by manifest (generator + shape +
     // seed): a sweep re-visits each workload once per config combo, and
-    // for the fast tiers generation is a visible share of the per-point
+    // for the interval tier generation is a visible share of the per-point
     // cost. Metrics stay pure functions of the manifest either way.
     let gen_memo: Mutex<HashMap<String, Arc<Csr>>> = Mutex::new(HashMap::new());
     let mut outcomes: Vec<PointOutcome> = Vec::with_capacity(points.len());
@@ -167,14 +166,7 @@ pub fn run_sweep_opts(
                     if i >= chunk.len() {
                         break;
                     }
-                    let outcome = evaluate(
-                        &chunk[i],
-                        &shared_cache,
-                        &gen_memo,
-                        &store,
-                        opts,
-                        frontier,
-                    );
+                    let outcome = evaluate(&chunk[i], &shared_cache, &gen_memo, opts, frontier);
                     chunk_mx.lock().unwrap().push(outcome);
                 });
             }
@@ -212,7 +204,6 @@ fn evaluate(
     point: &DsePoint,
     cache: &Mutex<&mut SimCache>,
     gen_memo: &Mutex<HashMap<String, Arc<Csr>>>,
-    store: &TraceStore,
     opts: &SweepOptions,
     frontier: Option<&FrontierTracker>,
 ) -> PointOutcome {
@@ -265,9 +256,6 @@ fn evaluate(
 
     let sim = panic::catch_unwind(AssertUnwindSafe(|| match opts.tier {
         EvalTier::Full => tiers::simulate_full_tier(point, &a).map_err(TierFailure::Error),
-        EvalTier::Trace => {
-            tiers::simulate_trace_tier(point, &a, &manifest, store).map_err(TierFailure::Error)
-        }
         EvalTier::Interval => {
             tiers::simulate_interval_tier(point, &a, &opts.interval, threshold)
         }
@@ -465,18 +453,9 @@ mod tests {
             assert!(metrics.get("cycles").is_some());
         }
 
-        let trace_opts = SweepOptions { tier: EvalTier::Trace, ..SweepOptions::default() };
-        let trace = run_sweep_opts(&points, &mut cache, 2, &trace_opts);
-        assert_eq!(trace.cache_hits, 0);
-        assert_eq!(trace.simulated, 2);
-        for o in &trace.outcomes {
-            let PointOutcome::Ok { metrics, .. } = o else { panic!("non-ok") };
-            assert!(metrics.get("trace").is_some(), "trace block present");
-        }
-
         // Re-running each tier is now all hits, tier by tier.
         let mut cache2 = SimCache::open(&dir).unwrap();
-        for o in [&SweepOptions::default(), &interval_opts, &trace_opts] {
+        for o in [&SweepOptions::default(), &interval_opts] {
             let again = run_sweep_opts(&points, &mut cache2, 2, o);
             assert_eq!(again.cache_hits, 2, "{:?} rerun must hit", o.tier);
         }

@@ -15,11 +15,10 @@
 //! * [`executor`] — a work-stealing parallel sweep over the expanded
 //!   points; each point runs through the sweep's evaluation tier and is
 //!   priced by the Table 6 area/power model.
-//! * [`tiers`] — tiered fast-path evaluation: full-fidelity simulation,
-//!   trace-replay what-if within config neighborhoods, and sampled-window
-//!   interval estimation with validated error bars, plus the dominance
-//!   early-abort that kills Pareto-dominated points mid-flight (explicitly
-//!   counted, never silent).
+//! * [`tiers`] — tiered fast-path evaluation: full-fidelity simulation and
+//!   sampled-window interval estimation with validated error bars, plus the
+//!   dominance early-abort that kills Pareto-dominated points mid-flight
+//!   (explicitly counted, never silent).
 //! * [`cache`] — content-addressed memoization keyed on (code-version salt,
 //!   evaluation tier, canonical config, workload manifest, α): re-runs only
 //!   simulate points whose inputs changed, a crash mid-sweep costs at most
@@ -42,7 +41,7 @@ pub mod pareto;
 pub mod spec;
 pub mod tiers;
 
-pub use cache::{MemoMap, SimCache, TraceStore};
+pub use cache::{MemoMap, SimCache};
 pub use executor::{run_sweep, run_sweep_opts, PointOutcome, SweepResult};
 pub use pareto::{analyze, DefaultStatus, ParetoReport};
 pub use spec::{Axis, AxisKind, DsePoint, SpaceSpec, WorkloadSpec};

@@ -1,17 +1,9 @@
 //! Tiered fast-path evaluation: route each design point through one of
-//! three evaluation tiers that trade fidelity for points-per-CPU-hour.
+//! two evaluation tiers that trade fidelity for points-per-CPU-hour.
 //!
 //! * [`EvalTier::Full`] — today's transaction-level simulation of every
 //!   phase. Exact, byte-identical to the pre-tier executor, and the
-//!   reference the other tiers are validated against.
-//! * [`EvalTier::Trace`] — trace-replay what-if. One multiply trace is
-//!   recorded per *config neighborhood* (the point with every replay-safe
-//!   memory/bandwidth knob reset to its default) and content-addressed in
-//!   the [`TraceStore`]; each point in the neighborhood then re-times the
-//!   frozen schedule on its own cache/HBM parameters
-//!   ([`outerspace_sim::trace::replay_multiply`]) instead of re-simulating,
-//!   and scales the merge/convert phases by the replayed-to-recorded cycle
-//!   ratio.
+//!   reference the interval tier is validated against.
 //! * [`EvalTier::Interval`] — sampled-window simulation
 //!   ([`outerspace_sim::interval`]): simulate every stride-th column window
 //!   of the outer-product work through the real machine pipeline and
@@ -48,14 +40,12 @@
 use std::collections::HashMap;
 
 use outerspace_energy::{ActivityFactors, AreaPowerModel};
-use outerspace_json::{Json, ToJson};
-use outerspace_outer as outer;
+use outerspace_json::Json;
 use outerspace_sim::interval::{self, AbortProbe, IntervalOpts};
-use outerspace_sim::trace::{record_multiply, replay_multiply, MultiplyTrace};
-use outerspace_sim::{alloc, model, MachineKind, OuterSpaceConfig, PhaseStats, SimError, SimReport};
+use outerspace_sim::{alloc, model, OuterSpaceConfig, SimError, SimReport};
 use outerspace_sparse::Csr;
 
-use crate::cache::{key_material, key_of, SimCache, TraceStore};
+use crate::cache::{key_material, SimCache};
 use crate::executor::PointOutcome;
 use crate::spec::DsePoint;
 
@@ -65,8 +55,6 @@ pub enum EvalTier {
     /// Full transaction-level simulation (exact; the reference).
     #[default]
     Full,
-    /// Trace-replay what-if within a config neighborhood.
-    Trace,
     /// Sampled-window interval estimation with error bars.
     Interval,
 }
@@ -76,7 +64,6 @@ impl EvalTier {
     pub fn tag(self) -> &'static str {
         match self {
             EvalTier::Full => "full",
-            EvalTier::Trace => "trace",
             EvalTier::Interval => "interval",
         }
     }
@@ -85,7 +72,6 @@ impl EvalTier {
     pub fn parse(s: &str) -> Option<EvalTier> {
         match s {
             "full" => Some(EvalTier::Full),
-            "trace" => Some(EvalTier::Trace),
             "interval" => Some(EvalTier::Interval),
             _ => None,
         }
@@ -106,105 +92,10 @@ pub struct SweepOptions {
     pub interval: IntervalOpts,
 }
 
-/// Knobs a recorded trace can legally re-time without re-simulating: they
-/// steer memory-system service latencies, bandwidth, and clocking, but not
-/// the dispatch schedule the trace froze (tile/PE counts, machine kind,
-/// merge shape). The neighborhood canonical config resets exactly these.
-pub const REPLAY_SAFE_KNOBS: &[&str] = &[
-    "l0_multiply_bytes",
-    "l0_ways",
-    "l0_mshrs_multiply",
-    "l1_bytes",
-    "l1_ways",
-    "n_l1",
-    "l1_mshrs",
-    "block_bytes",
-    "hbm_channels",
-    "hbm_channel_mb_per_sec",
-    "hbm_latency_min_ns",
-    "hbm_latency_max_ns",
-    "l0_hit_cycles",
-    "l1_hit_cycles",
-    "xbar_cycles",
-    "clock_ghz",
-    "outstanding_requests",
-];
-
-/// The canonical representative of `cfg`'s trace neighborhood: every
-/// replay-safe knob reset to its default, everything else (the knobs that
-/// change the recorded schedule itself) kept. Two configs with the same
-/// neighborhood share one recorded trace.
-pub fn neighborhood_config(cfg: &OuterSpaceConfig) -> OuterSpaceConfig {
-    let d = OuterSpaceConfig::default();
-    OuterSpaceConfig {
-        l0_multiply_bytes: d.l0_multiply_bytes,
-        l0_ways: d.l0_ways,
-        l0_mshrs_multiply: d.l0_mshrs_multiply,
-        l1_bytes: d.l1_bytes,
-        l1_ways: d.l1_ways,
-        n_l1: d.n_l1,
-        l1_mshrs: d.l1_mshrs,
-        block_bytes: d.block_bytes,
-        hbm_channels: d.hbm_channels,
-        hbm_channel_mb_per_sec: d.hbm_channel_mb_per_sec,
-        hbm_latency_min_ns: d.hbm_latency_min_ns,
-        hbm_latency_max_ns: d.hbm_latency_max_ns,
-        l0_hit_cycles: d.l0_hit_cycles,
-        l1_hit_cycles: d.l1_hit_cycles,
-        xbar_cycles: d.xbar_cycles,
-        clock_ghz: d.clock_ghz,
-        outstanding_requests: d.outstanding_requests,
-        ..cfg.clone()
-    }
-}
-
-/// `v * num / den` in u128, round to nearest.
-fn mul_div_round(v: u64, num: u64, den: u64) -> u64 {
-    if den == 0 {
-        return 0;
-    }
-    ((v as u128 * num as u128 + den as u128 / 2) / den as u128) as u64
-}
-
-/// Reads one `PhaseStats` back out of its `impl_to_json!` serialization.
-/// Missing numeric fields read as 0 except `cycles`, which must be present
-/// (a payload without it is corrupt, not merely old).
-fn phase_from_json(j: &Json) -> Result<PhaseStats, String> {
-    let u = |k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
-    let cycles = j
-        .get("cycles")
-        .and_then(Json::as_u64)
-        .ok_or("phase stats payload missing cycles")?;
-    Ok(PhaseStats {
-        cycles,
-        flops: u("flops"),
-        hbm_read_bytes: u("hbm_read_bytes"),
-        hbm_write_bytes: u("hbm_write_bytes"),
-        l0_hits: u("l0_hits"),
-        l0_misses: u("l0_misses"),
-        l1_hits: u("l1_hits"),
-        l1_misses: u("l1_misses"),
-        work_items: u("work_items"),
-        active_pes: u("active_pes") as u32,
-        busy_pe_cycles: u("busy_pe_cycles"),
-        ecc_retries: u("ecc_retries"),
-        dropped_responses: u("dropped_responses"),
-        fault_penalty_cycles: u("fault_penalty_cycles"),
-        silent_corruptions: u("silent_corruptions"),
-        requeued_work_items: u("requeued_work_items"),
-        killed_pes: u("killed_pes") as u32,
-        stall_l0_cycles: u("stall_l0_cycles"),
-        stall_l1_cycles: u("stall_l1_cycles"),
-        stall_hbm_cycles: u("stall_hbm_cycles"),
-        idle_pe_cycles: u("idle_pe_cycles"),
-        lost_pe_cycles: u("lost_pe_cycles"),
-    })
-}
-
 /// Prices one evaluated point into the canonical metrics object every tier
 /// emits: fixed key order, identical schema whether the counters came from
-/// a full run, a replayed trace, or an interval extrapolation (the
-/// fast-path tiers append their own sub-block after these shared keys).
+/// a full run or an interval extrapolation (the interval tier appends its
+/// own sub-block after these shared keys).
 pub(crate) fn price_metrics(
     point: &DsePoint,
     report: &SimReport,
@@ -288,132 +179,6 @@ pub(crate) fn simulate_full_tier(point: &DsePoint, a: &Csr) -> Result<Json, Stri
         mult_bd.mean_channel_occupancy(),
         a,
     )
-}
-
-/// Records one neighborhood baseline: a full pipeline run for the exact
-/// phase stats and functional result, plus the dispatch trace of the
-/// multiply. Returned as the [`TraceStore`] payload.
-fn record_neighborhood(ncfg: &OuterSpaceConfig, a: &Csr) -> Result<Json, String> {
-    let pipe = model::for_kind(MachineKind::OuterSpace)
-        .spgemm(ncfg, a, a)
-        .map_err(|e| e.to_string())?;
-    let (a_cc, _) = outer::csr_to_csc_via_outer(a);
-    let (base_mult, _layout, trace) =
-        record_multiply(ncfg, &a_cc, a).map_err(|e| e.to_string())?;
-    let merge_bd = &pipe.merge_breakdown;
-    Ok(Json::Obj(vec![
-        ("trace".into(), trace.to_json()),
-        (
-            "convert".into(),
-            pipe.convert.as_ref().map_or(Json::Null, ToJson::to_json),
-        ),
-        ("multiply".into(), base_mult.to_json()),
-        ("merge".into(), pipe.merge.to_json()),
-        ("result_nnz".into(), Json::UInt(pipe.c.nnz() as u64)),
-        (
-            "merge_busy_share".into(),
-            Json::Float(merge_bd.busy_cycles as f64 / merge_bd.total_pe_cycles().max(1) as f64),
-        ),
-        (
-            "hbm_mean_occupancy".into(),
-            Json::Float(pipe.multiply_breakdown.mean_channel_occupancy()),
-        ),
-    ]))
-}
-
-/// Trace-replay evaluation: load (or record once) the neighborhood's
-/// multiply trace, re-time it on this point's replay-safe knobs, and scale
-/// the merge/convert phase cycles by the replayed-to-recorded multiply
-/// ratio. SpArch points fall back to [`simulate_full_tier`] — the replayer
-/// models the OuterSPACE multiply engine — which is exact, merely slower;
-/// the result is still cached under the trace tag so the sweep stays
-/// resumable.
-pub(crate) fn simulate_trace_tier(
-    point: &DsePoint,
-    a: &Csr,
-    workload_manifest: &str,
-    store: &TraceStore,
-) -> Result<Json, String> {
-    let cfg = &point.config;
-    if cfg.machine != MachineKind::OuterSpace {
-        return simulate_full_tier(point, a);
-    }
-    let ncfg = neighborhood_config(cfg);
-    let rec_material = key_material(
-        &ncfg.to_json().to_string_compact(),
-        workload_manifest,
-        None,
-        "trace-record",
-    );
-    // Concurrent recorders of the same neighborhood race harmlessly: both
-    // produce identical bytes and the store's rename is atomic.
-    let payload = match store.load(&rec_material) {
-        Some(p) => p,
-        None => {
-            let p = record_neighborhood(&ncfg, a)?;
-            store
-                .store(&rec_material, p.clone())
-                .map_err(|e| format!("trace store: {e}"))?;
-            p
-        }
-    };
-
-    let trace_json = payload.get("trace").ok_or("trace payload missing trace")?;
-    let trace =
-        MultiplyTrace::from_json(trace_json).ok_or("trace payload failed to parse")?;
-    let base_mult = phase_from_json(payload.get("multiply").ok_or("payload missing multiply")?)?;
-    let base_merge = phase_from_json(payload.get("merge").ok_or("payload missing merge")?)?;
-    let base_convert = match payload.get("convert") {
-        None | Some(Json::Null) => None,
-        Some(j) => Some(phase_from_json(j)?),
-    };
-    let result_nnz =
-        payload.get("result_nnz").and_then(Json::as_u64).ok_or("payload missing result_nnz")?;
-    let merge_busy_share =
-        payload.get("merge_busy_share").and_then(Json::as_f64).unwrap_or(0.0);
-    let hbm_mean_occupancy =
-        payload.get("hbm_mean_occupancy").and_then(Json::as_f64).unwrap_or(0.0);
-
-    let replayed = replay_multiply(cfg, &trace);
-    // Merge and convert respond to the same memory-system knobs the multiply
-    // does (they stream through the identical HBM/cache hierarchy), so their
-    // cycles scale by the replayed-to-recorded multiply ratio; every other
-    // counter is schedule-determined and carries over exactly.
-    let (num, den) = (replayed.cycles, base_mult.cycles.max(1));
-    let scale_cycles = |base: &PhaseStats| {
-        let mut s = *base;
-        s.cycles = mul_div_round(base.cycles, num, den);
-        s
-    };
-    let report = SimReport {
-        convert: base_convert.as_ref().map(&scale_cycles),
-        multiply: replayed,
-        merge: scale_cycles(&base_merge),
-        config: cfg.clone(),
-    };
-    let multiply_busy_share = replayed.busy_pe_cycles as f64
-        / (replayed.cycles.saturating_mul(cfg.total_pes())).max(1) as f64;
-
-    let mut metrics = price_metrics(
-        point,
-        &report,
-        result_nnz,
-        multiply_busy_share,
-        merge_busy_share,
-        hbm_mean_occupancy,
-        a,
-    )?;
-    if let Json::Obj(pairs) = &mut metrics {
-        pairs.push((
-            "trace".to_string(),
-            Json::Obj(vec![
-                ("neighborhood".into(), Json::Str(key_of(&rec_material))),
-                ("base_multiply_cycles".into(), Json::UInt(base_mult.cycles)),
-                ("replayed_multiply_cycles".into(), Json::UInt(replayed.cycles)),
-            ]),
-        ));
-    }
-    Ok(metrics)
 }
 
 /// Why a tier evaluation did not produce metrics.
@@ -852,57 +617,11 @@ mod tests {
 
     #[test]
     fn tier_tags_round_trip() {
-        for t in [EvalTier::Full, EvalTier::Trace, EvalTier::Interval] {
+        for t in [EvalTier::Full, EvalTier::Interval] {
             assert_eq!(EvalTier::parse(t.tag()), Some(t));
         }
+        assert_eq!(EvalTier::parse("trace"), None);
         assert_eq!(EvalTier::parse("nope"), None);
-    }
-
-    #[test]
-    fn neighborhood_erases_exactly_the_replay_safe_knobs() {
-        use crate::knobs;
-        let base = OuterSpaceConfig::default();
-        for &knob in REPLAY_SAFE_KNOBS {
-            assert!(knobs::is_knob(knob), "{knob} is not a sweepable knob");
-            // Perturbing a replay-safe knob does not change the neighborhood.
-            let mut cfg = base.clone();
-            knobs::apply(&mut cfg, knob, 2.0).unwrap();
-            assert_eq!(
-                neighborhood_config(&cfg).to_json().to_string_compact(),
-                neighborhood_config(&base).to_json().to_string_compact(),
-                "{knob} should be erased by the neighborhood"
-            );
-        }
-        // Perturbing a schedule-affecting knob *does* change it.
-        let mut cfg = base.clone();
-        knobs::apply(&mut cfg, "n_tiles", 4.0).unwrap();
-        assert_ne!(
-            neighborhood_config(&cfg).to_json().to_string_compact(),
-            neighborhood_config(&base).to_json().to_string_compact()
-        );
-    }
-
-    #[test]
-    fn phase_stats_json_round_trips() {
-        let s = PhaseStats {
-            cycles: 123,
-            flops: 456,
-            hbm_read_bytes: 7,
-            hbm_write_bytes: 8,
-            l0_hits: 9,
-            l0_misses: 10,
-            l1_hits: 11,
-            l1_misses: 12,
-            work_items: 13,
-            active_pes: 14,
-            busy_pe_cycles: 15,
-            stall_hbm_cycles: 16,
-            idle_pe_cycles: 17,
-            ..PhaseStats::default()
-        };
-        let back = phase_from_json(&s.to_json()).unwrap();
-        assert_eq!(back, s);
-        assert!(phase_from_json(&Json::Obj(vec![])).is_err(), "cycles is mandatory");
     }
 
     #[test]

@@ -497,12 +497,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError>
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character.
-                let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a char boundary of the UTF-8
+                // input and validating it costs only its own length.
+                let start = *pos;
+                *pos = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| start + n);
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| err(start, "invalid utf-8"))?;
+                out.push_str(run);
             }
         }
     }
@@ -558,6 +563,12 @@ mod tests {
     fn round_trip_compact_and_pretty() {
         let j = Json::Obj(vec![
             ("name".to_string(), Json::Str("a \"b\"\n".to_string())),
+            // 2-, 3- and 4-byte UTF-8 characters, with escapes beside them.
+            (
+                "utf8".to_string(),
+                Json::Str("é\"中\\𝄞\né中𝄞\t".to_string()),
+            ),
+            ("ключ€".to_string(), Json::Str("\\€\"".to_string())),
             (
                 "xs".to_string(),
                 Json::Arr(vec![Json::UInt(1), Json::Int(-2), Json::Float(0.5)]),
@@ -569,6 +580,10 @@ mod tests {
         for text in [j.to_string_compact(), j.to_string_pretty()] {
             assert_eq!(parse(&text).unwrap(), j);
         }
+        assert_eq!(
+            parse(r#""caf\u00e9 é\u00e9\"\u00e9""#).unwrap(),
+            Json::Str("café éé\"é".to_string())
+        );
     }
 
     #[test]

@@ -16,12 +16,7 @@
 //! configuration is a fast what-if study — note that the schedule is frozen
 //! at recording time, so PE-count changes are not meaningful in replay;
 //! cache, queue, latency and bandwidth changes are.
-//!
-//! Traces serialize to JSON through [`MultiplyTrace::to_json`] /
-//! [`MultiplyTrace::from_json`], so they can be exported for external
-//! analysis without any serialization dependency.
 
-use outerspace_json::Json;
 use outerspace_sparse::{Csc, Csr};
 
 use crate::config::OuterSpaceConfig;
@@ -40,7 +35,7 @@ pub enum TraceRecord {
     /// A control-processor pointer-array read (scheduling stream).
     PtrRead {
         /// Tile whose L0 services the read.
-        tile: u32,
+        tile: usize,
         /// Byte address of the pointer entry.
         addr: u64,
     },
@@ -48,9 +43,9 @@ pub enum TraceRecord {
     /// stream the paired row-of-B, multiply, store the chunk.
     Chunk {
         /// Global PE index chosen by the greedy scheduler at record time.
-        pe: u32,
+        pe: usize,
         /// Tile (L0 domain) the PE belongs to.
-        tile: u32,
+        tile: usize,
         /// Address of the column-of-A element.
         a_addr: u64,
         /// Base address of the row-of-B.
@@ -58,7 +53,7 @@ pub enum TraceRecord {
         /// Bytes in the row-of-B (12 per element).
         b_bytes: u64,
         /// Elements in the row (MAC count).
-        macs: u32,
+        macs: u64,
         /// Destination address of the produced chunk.
         store_addr: u64,
     },
@@ -73,71 +68,7 @@ pub struct MultiplyTrace {
     pub recorded_on: OuterSpaceConfig,
 }
 
-impl TraceRecord {
-    fn to_json(&self) -> Json {
-        match *self {
-            TraceRecord::PtrRead { tile, addr } => Json::Obj(vec![
-                ("kind".to_string(), Json::Str("ptr_read".to_string())),
-                ("tile".to_string(), Json::UInt(tile as u64)),
-                ("addr".to_string(), Json::UInt(addr)),
-            ]),
-            TraceRecord::Chunk { pe, tile, a_addr, b_addr, b_bytes, macs, store_addr } => {
-                Json::Obj(vec![
-                    ("kind".to_string(), Json::Str("chunk".to_string())),
-                    ("pe".to_string(), Json::UInt(pe as u64)),
-                    ("tile".to_string(), Json::UInt(tile as u64)),
-                    ("a_addr".to_string(), Json::UInt(a_addr)),
-                    ("b_addr".to_string(), Json::UInt(b_addr)),
-                    ("b_bytes".to_string(), Json::UInt(b_bytes)),
-                    ("macs".to_string(), Json::UInt(macs as u64)),
-                    ("store_addr".to_string(), Json::UInt(store_addr)),
-                ])
-            }
-        }
-    }
-
-    fn from_json(j: &Json) -> Option<TraceRecord> {
-        let u = |key: &str| j.get(key).and_then(Json::as_u64);
-        match j.get("kind")?.as_str()? {
-            "ptr_read" => Some(TraceRecord::PtrRead { tile: u("tile")? as u32, addr: u("addr")? }),
-            "chunk" => Some(TraceRecord::Chunk {
-                pe: u("pe")? as u32,
-                tile: u("tile")? as u32,
-                a_addr: u("a_addr")?,
-                b_addr: u("b_addr")?,
-                b_bytes: u("b_bytes")?,
-                macs: u("macs")? as u32,
-                store_addr: u("store_addr")?,
-            }),
-            _ => None,
-        }
-    }
-}
-
 impl MultiplyTrace {
-    /// Serializes the trace to a JSON value.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "records".to_string(),
-                Json::Arr(self.records.iter().map(TraceRecord::to_json).collect()),
-            ),
-            ("recorded_on".to_string(), outerspace_json::ToJson::to_json(&self.recorded_on)),
-        ])
-    }
-
-    /// Decodes a trace previously produced by [`MultiplyTrace::to_json`].
-    /// Returns `None` on any missing or mistyped field.
-    pub fn from_json(j: &Json) -> Option<MultiplyTrace> {
-        let records = j
-            .get("records")?
-            .as_array()?
-            .iter()
-            .map(TraceRecord::from_json)
-            .collect::<Option<Vec<_>>>()?;
-        let recorded_on = OuterSpaceConfig::from_json(j.get("recorded_on")?)?;
-        Some(MultiplyTrace { records, recorded_on })
-    }
     /// Number of chunk work items in the trace.
     pub fn chunk_count(&self) -> usize {
         self.records.iter().filter(|r| matches!(r, TraceRecord::Chunk { .. })).count()
@@ -148,7 +79,7 @@ impl MultiplyTrace {
         self.records
             .iter()
             .map(|r| match r {
-                TraceRecord::Chunk { macs, .. } => *macs as u64,
+                TraceRecord::Chunk { macs, .. } => *macs,
                 TraceRecord::PtrRead { .. } => 0,
             })
             .sum()
@@ -163,17 +94,17 @@ struct TraceObserver {
 
 impl KernelObserver<ChunkItem> for TraceObserver {
     fn on_control_read(&mut self, group: usize, addr: u64) {
-        self.records.push(TraceRecord::PtrRead { tile: group as u32, addr });
+        self.records.push(TraceRecord::PtrRead { tile: group, addr });
     }
 
     fn on_item(&mut self, pe: usize, group: usize, item: &ChunkItem) {
         self.records.push(TraceRecord::Chunk {
-            pe: pe as u32,
-            tile: group as u32,
+            pe,
+            tile: group,
             a_addr: item.a_addr,
             b_addr: item.b_addr,
             b_bytes: item.b_bytes,
-            macs: item.macs as u32,
+            macs: item.macs,
             store_addr: item.store_addr,
         });
     }
@@ -227,22 +158,16 @@ pub fn replay_multiply(cfg: &OuterSpaceConfig, trace: &MultiplyTrace) -> PhaseSt
     for rec in &trace.records {
         match *rec {
             TraceRecord::PtrRead { tile, addr } => {
-                let tile = (tile as usize).min(n_tiles - 1);
+                let tile = tile.min(n_tiles - 1);
                 let t = pes.group_min_time(tile);
                 let _ = mem.read(tile, addr, t);
             }
             TraceRecord::Chunk { pe, tile, a_addr, b_addr, b_bytes, macs, store_addr } => {
-                let tile = (tile as usize).min(n_tiles - 1);
-                let pe = (pe as usize).min(pes.len() - 1);
+                let tile = tile.min(n_tiles - 1);
+                let pe = pe.min(pes.len() - 1);
                 work_items += 1;
-                flops += macs as u64;
-                let item = ChunkItem {
-                    a_addr,
-                    b_addr,
-                    b_bytes,
-                    macs: macs as u64,
-                    store_addr,
-                };
+                flops += macs;
+                let item = ChunkItem { a_addr, b_addr, b_bytes, macs, store_addr };
                 let mut ctx = PeCtx::new(&mut mem, pes.pe_mut(pe), tile, block);
                 chunk_script(&item, &mut ctx);
             }
@@ -306,18 +231,5 @@ mod tests {
         big.l0_multiply_bytes *= 8;
         let bigger = replay_multiply(&big, &trace);
         assert!(bigger.l0_hit_rate() >= base.l0_hit_rate());
-    }
-
-    #[test]
-    fn trace_round_trips_through_json() {
-        let cfg = OuterSpaceConfig::default();
-        let a = uniform::matrix(64, 64, 400, 6);
-        let (_, _, trace) = record_multiply(&cfg, &a.to_csc(), &a).unwrap();
-        let json = trace.to_json().to_string_compact();
-        let back = MultiplyTrace::from_json(&outerspace_json::parse(&json).unwrap()).unwrap();
-        assert_eq!(back, trace);
-        let s1 = replay_multiply(&cfg, &trace);
-        let s2 = replay_multiply(&cfg, &back);
-        assert_eq!(s1.cycles, s2.cycles);
     }
 }

@@ -1,12 +1,12 @@
-//! Record → replay round-trip determinism for `sim::trace`.
+//! Record → replay determinism for `sim::trace`.
 //!
-//! The DSE trace-replay tier caches recorded traces on disk and replays
-//! them from worker threads, so the whole chain — record, JSON round-trip,
-//! replay — must be byte-for-byte reproducible across runs and across
-//! thread counts. These tests pin that contract.
+//! A recorded trace is a frozen schedule that what-if studies re-time on
+//! other configurations, possibly from several threads at once, so both
+//! record and replay must be reproducible across runs and across thread
+//! counts. These tests pin that contract.
 
 use outerspace_gen::{rmat, uniform};
-use outerspace_sim::trace::{record_multiply, replay_multiply, MultiplyTrace};
+use outerspace_sim::trace::{record_multiply, replay_multiply};
 use outerspace_sim::{OuterSpaceConfig, PhaseStats};
 use outerspace_sparse::Csr;
 
@@ -26,11 +26,7 @@ fn record_is_deterministic_and_replay_matches_recording() {
         let a_cc = a.to_csc();
         let (live1, _, t1) = record_multiply(&cfg, &a_cc, &a).unwrap();
         let (live2, _, t2) = record_multiply(&cfg, &a_cc, &a).unwrap();
-        assert_eq!(
-            t1.to_json().to_string_compact(),
-            t2.to_json().to_string_compact(),
-            "{name}: two recordings diverged"
-        );
+        assert_eq!(t1, t2, "{name}: two recordings diverged");
         assert_eq!(live1, live2, "{name}: live stats diverged between runs");
         let r1 = replay_multiply(&cfg, &t1);
         let r2 = replay_multiply(&cfg, &t2);
@@ -51,27 +47,9 @@ fn record_is_deterministic_and_replay_matches_recording() {
     }
 }
 
-/// The JSON round-trip is lossless: a trace serialized and re-parsed
-/// replays to byte-identical `PhaseStats`.
-#[test]
-fn json_round_trip_preserves_replay() {
-    let cfg = OuterSpaceConfig::default();
-    let a = rmat::graph500(256, 3000, 11);
-    let a_cc = a.to_csc();
-    let (_, _, trace) = record_multiply(&cfg, &a_cc, &a).unwrap();
-    let json = trace.to_json().to_string_compact();
-    let parsed =
-        MultiplyTrace::from_json(&outerspace_json::parse(&json).unwrap()).unwrap();
-    assert_eq!(parsed.chunk_count(), trace.chunk_count());
-    assert_eq!(parsed.total_macs(), trace.total_macs());
-    let a1 = replay_multiply(&cfg, &trace);
-    let a2 = replay_multiply(&cfg, &parsed);
-    assert_eq!(format!("{a1:?}"), format!("{a2:?}"));
-}
-
-/// Replaying one shared trace from many threads concurrently — the DSE
-/// sweep's access pattern — produces byte-identical `PhaseStats` on every
-/// thread, including on what-if configs that differ from the recording one.
+/// Replaying one shared trace from many threads concurrently produces
+/// byte-identical `PhaseStats` on every thread, including on what-if
+/// configs that differ from the recording one.
 #[test]
 fn replay_is_identical_across_thread_counts() {
     let base = OuterSpaceConfig::default();
