@@ -59,14 +59,14 @@ if BENCH_INJECT_SLOWDOWN="multiply_arena:100000" \
     exit 1
 fi
 
-echo "==> fig_sparch --smoke (machine-model frontier: deterministic artifact)"
+echo "==> runall --smoke --only fig_sparch (machine-model frontier: deterministic artifact)"
 SPARCH_OUT="$(mktemp -d)"
 trap 'rm -rf "$HERMETIC_CARGO_HOME" "$SMOKE_OUT" "$SPARCH_OUT"' EXIT
 # The OuterSPACE-vs-SpArch head-to-head must produce its frontier artifact
 # with both machines present, and two runs at the same scale + seed must be
 # byte-identical (no wall-clock leaks into the frontier file).
-./target/release/fig_sparch --smoke --out "$SPARCH_OUT/a"
-./target/release/fig_sparch --smoke --out "$SPARCH_OUT/b"
+./target/release/runall --smoke --only fig_sparch --out "$SPARCH_OUT/a"
+./target/release/runall --smoke --only fig_sparch --out "$SPARCH_OUT/b"
 test -s "$SPARCH_OUT/a/fig_sparch_frontier.json"
 grep -q '"machine": "outer_space"' "$SPARCH_OUT/a/fig_sparch_frontier.json"
 grep -q '"machine": "sparch"' "$SPARCH_OUT/a/fig_sparch_frontier.json"

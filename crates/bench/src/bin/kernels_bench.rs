@@ -23,7 +23,7 @@ fn main() {
         Ok(opts) => opts,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{} [--check]", outerspace_bench::USAGE);
+            eprintln!("usage: kernels_bench {} [--check]", outerspace_bench::USAGE);
             std::process::exit(2);
         }
     };

@@ -1,122 +1,22 @@
-//! Consolidated driver: runs every figure/table harness in-process — same
-//! crash isolation, checkpointing, and `--resume` semantics as the
-//! individual binaries — with bounded retry and a final pass/fail/skip
-//! report.
+//! Consolidated driver: runs the figure/table harnesses in-process, each
+//! with crash isolation, checkpointing and `--resume`, with bounded retry
+//! and a final pass/fail/skip report. `runall --only NAME` runs one.
 //!
-//! Flags:
-//!
-//! * `--smoke` — tiny-scale CI gate: each harness runs at its `smoke_scale`
-//!   workload divisor, plus a deliberately faulty `smoke_fault` harness
-//!   (one healthy case, one injected panic) proving that a panicking case is
-//!   recorded instead of aborting the run.
-//! * `--only NAME` (repeatable) — run a subset of harnesses.
-//! * `--max-retries N` — re-drive a harness (with `--resume`, so finished
-//!   cases are reused) up to `N` extra times while it still has
-//!   panicked/timeout cases or crashed at driver level. Default 1.
-//! * `--scale N`, `--full`, `--seed N`, `--out DIR`, `--resume`,
-//!   `--max-case-secs S` — forwarded to every harness; `--scale` /
-//!   `--max-case-secs` override the per-harness defaults.
+//! Flags: `--smoke`, `--only NAME` (repeatable) and `--max-retries N`
+//! belong to the driver; every other flag (`--scale N`, `--full`,
+//! `--seed N`, `--out DIR`, `--resume`, `--max-case-secs S`) goes to every
+//! harness over its own defaults. See [`RunallArgs`] for the resolution.
 //!
 //! Exit status: 0 when every harness completed (case-level failures are
 //! *recorded*, not fatal); 1 only if a harness crashed at driver level on
 //! every attempt; 2 on a malformed command line.
 
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
 
-use outerspace_bench::harnesses::{self, Harness};
+use outerspace_bench::harnesses::{Harness, RunallArgs};
 use outerspace_bench::runner::git_rev;
-use outerspace_bench::{HarnessOpts, UsageError};
+use outerspace_bench::{HarnessOpts, USAGE};
 use outerspace_json::{dump, Json, ToJson};
-
-const USAGE: &str = "usage: runall [--smoke] [--only NAME]... [--max-retries N] [--scale N] \
-     [--full] [--seed N] [--out DIR] [--resume] [--max-case-secs S]";
-
-/// Driver-level options (the per-harness knobs stay `Option` so per-harness
-/// defaults apply where the user did not override).
-struct RunallOpts {
-    smoke: bool,
-    only: Vec<String>,
-    max_retries: u32,
-    scale: Option<u32>,
-    full: bool,
-    seed: u64,
-    out_dir: PathBuf,
-    resume: bool,
-    max_case_secs: Option<f64>,
-}
-
-fn usage_error(message: impl Into<String>) -> UsageError {
-    UsageError { message: message.into() }
-}
-
-fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<RunallOpts, UsageError> {
-    let mut o = RunallOpts {
-        smoke: false,
-        only: Vec::new(),
-        max_retries: 1,
-        scale: None,
-        full: false,
-        seed: 42,
-        out_dir: PathBuf::from("bench_results"),
-        resume: false,
-        max_case_secs: None,
-    };
-    let mut args = args.into_iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => o.smoke = true,
-            "--only" => {
-                let v = args.next().ok_or_else(|| usage_error("--only needs a harness name"))?;
-                o.only.push(v);
-            }
-            "--max-retries" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_error("--max-retries needs a non-negative integer"))?;
-                o.max_retries = v.parse().map_err(|_| {
-                    usage_error(format!("--max-retries: '{v}' is not a non-negative integer"))
-                })?;
-            }
-            "--scale" => {
-                let v = args.next().ok_or_else(|| usage_error("--scale needs a positive integer"))?;
-                let scale: u32 = v
-                    .parse()
-                    .map_err(|_| usage_error(format!("--scale: '{v}' is not a positive integer")))?;
-                if scale == 0 {
-                    return Err(usage_error("--scale must be at least 1"));
-                }
-                o.scale = Some(scale);
-            }
-            "--full" => o.full = true,
-            "--seed" => {
-                let v = args.next().ok_or_else(|| usage_error("--seed needs an integer"))?;
-                o.seed = v
-                    .parse()
-                    .map_err(|_| usage_error(format!("--seed: '{v}' is not an integer")))?;
-            }
-            "--out" => {
-                let v = args.next().ok_or_else(|| usage_error("--out needs a directory"))?;
-                o.out_dir = PathBuf::from(v);
-            }
-            "--resume" => o.resume = true,
-            "--max-case-secs" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_error("--max-case-secs needs a number of seconds"))?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| usage_error(format!("--max-case-secs: '{v}' is not a number")))?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err(usage_error("--max-case-secs must be a non-negative number"));
-                }
-                o.max_case_secs = Some(secs);
-            }
-            other => return Err(usage_error(format!("unknown argument '{other}'"))),
-        }
-    }
-    Ok(o)
-}
 
 /// Final per-harness line of the consolidated report.
 struct HarnessReport {
@@ -149,30 +49,11 @@ outerspace_json::impl_to_json!(HarnessReport {
     out_path,
 });
 
-/// Smoke runs trade fidelity for speed: small default watchdog so a hung
-/// case cannot stall CI for the per-binary default (up to 15 minutes).
-const SMOKE_MAX_CASE_SECS: f64 = 120.0;
-
-fn harness_opts(cli: &RunallOpts, h: &Harness) -> HarnessOpts {
-    HarnessOpts {
-        scale: cli.scale.unwrap_or(if cli.smoke { h.smoke_scale } else { h.defaults.scale }),
-        seed: cli.seed,
-        out_dir: cli.out_dir.clone(),
-        full: cli.full,
-        table4: false,
-        resume: cli.resume,
-        max_case_secs: cli
-            .max_case_secs
-            .unwrap_or(if cli.smoke { SMOKE_MAX_CASE_SECS } else { h.defaults.max_case_secs }),
-    }
-}
-
 /// Drives one harness with bounded retry. Retries always set `--resume`, so
 /// checkpointed `ok`/`skipped` cases are reused and only the failed or
 /// unfinished ones re-execute.
-fn drive(cli: &RunallOpts, h: &Harness) -> HarnessReport {
-    let mut opts = harness_opts(cli, h);
-    let attempts_max = 1 + cli.max_retries;
+fn drive(h: &Harness, mut opts: HarnessOpts, max_retries: u32) -> HarnessReport {
+    let attempts_max = 1 + max_retries;
     let mut attempt = 0;
     loop {
         attempt += 1;
@@ -245,39 +126,24 @@ fn drive(cli: &RunallOpts, h: &Harness) -> HarnessReport {
 }
 
 fn main() {
-    let cli = match parse_args(std::env::args().skip(1)) {
+    let cli = match RunallArgs::parse(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{USAGE}");
+            eprintln!("usage: runall [--smoke] [--only NAME]... [--max-retries N] {USAGE}");
             std::process::exit(2);
         }
     };
-
-    let mut lineup: Vec<&Harness> = harnesses::ALL.iter().collect();
-    if cli.smoke {
-        lineup.push(&harnesses::SMOKE_FAULT);
-    }
-    if !cli.only.is_empty() {
-        for name in &cli.only {
-            if !lineup.iter().any(|h| h.name == name) {
-                eprintln!("error: --only: unknown harness '{name}'");
-                eprintln!(
-                    "known harnesses: {}",
-                    lineup.iter().map(|h| h.name).collect::<Vec<_>>().join(", ")
-                );
-                std::process::exit(2);
-            }
-        }
-        lineup.retain(|h| cli.only.iter().any(|n| n == h.name));
-    }
+    // Seed, output directory, `full` and `resume` are the same for every
+    // harness in the (never empty) lineup.
+    let shared = &cli.lineup[0].1;
 
     let started = std::time::Instant::now();
-    let events_path = cli.out_dir.join("runall.events.jsonl");
+    let events_path = shared.out_dir.join("runall.events.jsonl");
     let mut reports: Vec<HarnessReport> = Vec::new();
-    for (i, h) in lineup.iter().enumerate() {
-        eprintln!("\n=== [{}/{}] {} ===", i + 1, lineup.len(), h.name);
-        let report = drive(&cli, h);
+    for (i, (h, opts)) in cli.lineup.iter().enumerate() {
+        eprintln!("\n=== [{}/{}] {} ===", i + 1, cli.lineup.len(), h.name);
+        let report = drive(h, opts.clone(), cli.max_retries);
         if let Err(e) = dump::append_jsonl(&events_path, &report.to_json()) {
             eprintln!("warning: cannot append to {}: {e}", events_path.display());
         }
@@ -317,10 +183,10 @@ fn main() {
     );
 
     let manifest = Json::Obj(vec![
-        ("seed".into(), Json::UInt(cli.seed)),
+        ("seed".into(), Json::UInt(shared.seed)),
         ("smoke".into(), Json::Bool(cli.smoke)),
-        ("full".into(), Json::Bool(cli.full)),
-        ("resume".into(), Json::Bool(cli.resume)),
+        ("full".into(), Json::Bool(shared.full)),
+        ("resume".into(), Json::Bool(shared.resume)),
         ("max_retries".into(), Json::UInt(cli.max_retries as u64)),
         ("git_rev".into(), Json::Str(git_rev())),
         ("wall_s".into(), Json::Float(started.elapsed().as_secs_f64())),
@@ -333,7 +199,7 @@ fn main() {
         ("manifest".into(), manifest),
         ("harnesses".into(), Json::Arr(reports.iter().map(|r| r.to_json()).collect())),
     ]);
-    let report_path = cli.out_dir.join("runall.json");
+    let report_path = shared.out_dir.join("runall.json");
     match dump::write_json_atomic(&report_path, &doc) {
         Ok(()) => eprintln!("(consolidated report written to {})", report_path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", report_path.display()),

@@ -13,7 +13,7 @@ use crate::{fmt_secs, HarnessDefaults, HarnessOpts};
 
 /// Artifact basename.
 pub const NAME: &str = "ablations";
-/// Per-binary defaults.
+/// Defaults for `--scale` / `--max-case-secs`.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 1, max_case_secs: 600.0 };
 
 struct Point {

@@ -31,7 +31,7 @@ use crate::{HarnessDefaults, HarnessOpts};
 
 /// Artifact basename.
 pub const NAME: &str = "dse";
-/// Per-binary defaults.
+/// Defaults for `--scale` / `--max-case-secs`.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 1, max_case_secs: 1200.0 };
 
 /// Tier routing and validation options for one sweep (the harness-level

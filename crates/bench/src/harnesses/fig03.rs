@@ -21,7 +21,7 @@ use crate::{fmt_secs, HarnessDefaults, HarnessOpts};
 
 /// Artifact basename.
 pub const NAME: &str = "fig03";
-/// Per-binary defaults.
+/// Defaults for `--scale` / `--max-case-secs`.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 8, max_case_secs: 600.0 };
 
 struct Row {

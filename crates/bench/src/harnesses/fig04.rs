@@ -20,7 +20,7 @@ use crate::{fmt_secs, HarnessDefaults, HarnessOpts};
 
 /// Artifact basename.
 pub const NAME: &str = "fig04";
-/// Per-binary defaults.
+/// Defaults for `--scale` / `--max-case-secs`.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 8, max_case_secs: 300.0 };
 
 struct Row {

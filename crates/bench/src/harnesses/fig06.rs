@@ -15,7 +15,7 @@ use crate::{fmt_secs, geomean, run_baselines, run_outerspace, HarnessDefaults, H
 
 /// Artifact basename.
 pub const NAME: &str = "fig06";
-/// Per-binary defaults.
+/// Defaults for `--scale` / `--max-case-secs`.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 4, max_case_secs: 300.0 };
 
 struct Row {

@@ -7,9 +7,7 @@
 //! 59.5–68.9 %, merge-phase 46.5–64.8 %. Regular matrices (filter3D,
 //! roadNet-CA) and m133-b3 show the smallest speedups.
 //!
-//! Pass `--table4` to print the suite inventory instead of running. All
-//! flags — `--full`, `--table4`, `--resume`, `--max-case-secs` — are routed
-//! through [`HarnessOpts`] so they compose.
+//! Every run opens with the Table 4 suite inventory.
 
 use outerspace::gen::suite::TABLE4;
 
@@ -18,7 +16,7 @@ use crate::{fmt_secs, geomean, run_baselines, run_outerspace, HarnessDefaults, H
 
 /// Artifact basename.
 pub const NAME: &str = "fig07";
-/// Per-binary defaults.
+/// Defaults for `--scale` / `--max-case-secs`.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 1, max_case_secs: 900.0 };
 
 struct Row {
@@ -37,8 +35,8 @@ struct Row {
 
 outerspace_json::impl_to_json!(Row { name, scale, dim, nnz, gflops, mult_bw_pct, merge_bw_pct, outerspace_s, speedup_mkl, speedup_cusparse, speedup_cusp });
 
-/// Prints the Table 4 suite inventory (`--table4`).
-pub fn print_table4() {
+/// Prints the Table 4 suite inventory.
+fn print_table4() {
     println!("{:<16} {:>9} {:>10} {:>7}  kind", "matrix", "dim", "nnz", "nnz/row");
     for e in TABLE4 {
         println!(
@@ -54,14 +52,9 @@ pub fn print_table4() {
 
 /// Runs the Fig. 7 suite sweep through the crash-safe runner.
 pub fn run(opts: &HarnessOpts) -> RunSummary {
-    if opts.table4 {
-        print_table4();
-        // Inventory mode runs no cases and writes no artifact.
-        return Runner::new(NAME, &HarnessOpts { resume: false, ..opts.clone() })
-            .finalize_without_write();
-    }
-
     let mut runner = Runner::new(NAME, opts);
+    println!("# Table 4: the matrix suite");
+    print_table4();
     println!("# Fig. 7 reproduction: speedups on the Table 4 suite (synthetic stand-ins)");
     println!(
         "{:<16} {:>5} {:>8} {:>9} | {:>7} {:>6} {:>6} | {:>10} | {:>6} {:>6} {:>6}",

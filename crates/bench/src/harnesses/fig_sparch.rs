@@ -23,11 +23,8 @@ use crate::{HarnessDefaults, HarnessOpts};
 
 /// Artifact basename.
 pub const NAME: &str = "fig_sparch";
-/// Per-binary defaults.
+/// Defaults for `--scale` / `--max-case-secs`.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 1, max_case_secs: 600.0 };
-/// Workload divisor applied by the binary's `--smoke` flag (matches the
-/// `runall` entry's smoke scale).
-pub const SMOKE_SCALE: u32 = 16;
 
 /// One machine × workload measurement.
 struct Row {

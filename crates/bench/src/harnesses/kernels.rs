@@ -33,7 +33,7 @@ use outerspace_json::{dump, Json, ToJson};
 
 /// Artifact basename.
 pub const NAME: &str = "kernels";
-/// Per-binary defaults. The default scale doubles as the smoke/pin scale:
+/// Defaults for `--scale` / `--max-case-secs`. The default scale doubles as the smoke/pin scale:
 /// trajectory entries are only comparable at equal `(scale, seed)`, so CI
 /// and the committed baseline use the same cell sizes.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 8, max_case_secs: 600.0 };
@@ -558,7 +558,6 @@ mod tests {
             seed: 42,
             out_dir: out.to_path_buf(),
             full: false,
-            table4: false,
             resume: false,
             max_case_secs: 0.0,
         }

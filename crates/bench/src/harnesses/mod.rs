@@ -2,15 +2,15 @@
 //! evaluation section.
 //!
 //! Each module exposes `NAME` (the artifact's JSON basename), `DEFAULTS`
-//! (per-binary `--scale` / `--max-case-secs`), and `run(&HarnessOpts) ->
-//! RunSummary`, which executes every benchmark case through the crash-safe
-//! [`crate::runner`] layer. The thin `src/bin/*.rs` wrappers and the
-//! consolidated `runall` driver both enter through [`ALL`], so a sweep can
-//! be run per-figure or end-to-end with the same isolation, checkpointing,
+//! (its `--scale` / `--max-case-secs` when those flags are absent), and
+//! `run(&HarnessOpts) -> RunSummary`, which executes every benchmark case
+//! through the crash-safe [`crate::runner`] layer. The `runall` driver
+//! enters through [`ALL`] and [`RunallArgs`], so a sweep runs per figure
+//! (`--only NAME`) or end to end with the same isolation, checkpointing,
 //! and `--resume` semantics.
 
 use crate::runner::{CaseResult, Runner, RunSummary};
-use crate::{HarnessDefaults, HarnessOpts};
+use crate::{usage_error, HarnessDefaults, HarnessOpts, UsageError};
 
 pub mod ablations;
 pub mod dse;
@@ -24,14 +24,12 @@ pub mod kernels;
 pub mod sec43;
 pub mod sec73;
 pub mod sec8;
-pub mod serve;
 pub mod table1;
 pub mod table5;
 pub mod table6;
 
-/// A runnable harness: artifact name, per-binary defaults, the workload
-/// divisor `runall --smoke` uses for its tiny-scale gate, and the entry
-/// point.
+/// A runnable harness: artifact name, its defaults, the workload divisor
+/// `runall --smoke` uses for its tiny-scale gate, and the entry point.
 pub struct Harness {
     /// Artifact basename (`<name>.json` under `--out`).
     pub name: &'static str,
@@ -56,7 +54,7 @@ pub const ALL: &[Harness] = &[
     Harness {
         name: fig_sparch::NAME,
         defaults: fig_sparch::DEFAULTS,
-        smoke_scale: fig_sparch::SMOKE_SCALE,
+        smoke_scale: 16,
         run: fig_sparch::run,
     },
     Harness { name: sec73::NAME, defaults: sec73::DEFAULTS, smoke_scale: 64, run: sec73::run },
@@ -69,7 +67,6 @@ pub const ALL: &[Harness] = &[
         run: ablations::run,
     },
     Harness { name: dse::NAME, defaults: dse::DEFAULTS, smoke_scale: 32, run: dse::run },
-    Harness { name: serve::NAME, defaults: serve::DEFAULTS, smoke_scale: 4, run: serve::run },
     Harness {
         name: kernels::NAME,
         defaults: kernels::DEFAULTS,
@@ -78,9 +75,96 @@ pub const ALL: &[Harness] = &[
     },
 ];
 
-/// Looks a harness up by its artifact name.
-pub fn by_name(name: &str) -> Option<&'static Harness> {
-    ALL.iter().find(|h| h.name == name)
+/// Per-case watchdog budget under `runall --smoke`: small, so a hung case
+/// cannot stall CI for a harness's default (up to 15 minutes).
+const SMOKE_MAX_CASE_SECS: f64 = 120.0;
+
+/// `runall`'s command line, resolved into the harnesses to run and the
+/// options of each.
+///
+/// The driver owns three flags:
+///
+/// * `--smoke` — tiny-scale CI gate: every harness runs at its
+///   `smoke_scale` with a 120 s watchdog, and [`SMOKE_FAULT`] joins the
+///   lineup;
+/// * `--only NAME` (repeatable) — run a subset of the harnesses;
+/// * `--max-retries N` — re-drive a harness that still has failed cases up
+///   to `N` extra times (default 1).
+///
+/// Every other argument is handed to each harness's [`HarnessOpts::parse`]
+/// over that harness's defaults, so `--scale` / `--max-case-secs` override
+/// them and `--full` runs every harness at scale 1.
+pub struct RunallArgs {
+    /// `--smoke` was given.
+    pub smoke: bool,
+    /// Extra attempts for a harness with failed cases.
+    pub max_retries: u32,
+    /// The harnesses to run, in [`ALL`] order, each with its options. Never
+    /// empty; every entry shares the same seed, output directory, `full`
+    /// and `resume`.
+    pub lineup: Vec<(&'static Harness, HarnessOpts)>,
+}
+
+impl RunallArgs {
+    /// Parses `runall`'s argument list (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// A [`UsageError`] for a malformed driver flag, an unknown `--only`
+    /// name, or a shared flag [`HarnessOpts::parse`] rejects.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<RunallArgs, UsageError> {
+        let mut smoke = false;
+        let mut only: Vec<String> = Vec::new();
+        let mut max_retries = 1;
+        let mut shared: Vec<String> = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--smoke" => smoke = true,
+                "--only" => {
+                    let v = args.next().ok_or_else(|| usage_error("--only needs a harness name"))?;
+                    only.push(v);
+                }
+                "--max-retries" => {
+                    let v = args
+                        .next()
+                        .ok_or_else(|| usage_error("--max-retries needs a non-negative integer"))?;
+                    max_retries = v.parse().map_err(|_| {
+                        usage_error(format!("--max-retries: '{v}' is not a non-negative integer"))
+                    })?;
+                }
+                _ => shared.push(arg),
+            }
+        }
+
+        let mut harnesses: Vec<&'static Harness> = ALL.iter().collect();
+        if smoke {
+            harnesses.push(&SMOKE_FAULT);
+        }
+        if let Some(name) = only.iter().find(|n| !harnesses.iter().any(|h| h.name == n.as_str())) {
+            let known: Vec<&str> = harnesses.iter().map(|h| h.name).collect();
+            return Err(usage_error(format!(
+                "--only: unknown harness '{name}' (known: {})",
+                known.join(", ")
+            )));
+        }
+        if !only.is_empty() {
+            harnesses.retain(|h| only.iter().any(|n| n == h.name));
+        }
+
+        let lineup = harnesses
+            .into_iter()
+            .map(|h| {
+                let defaults = if smoke {
+                    HarnessDefaults { scale: h.smoke_scale, max_case_secs: SMOKE_MAX_CASE_SECS }
+                } else {
+                    h.defaults
+                };
+                Ok((h, HarnessOpts::parse(shared.iter().cloned(), defaults)?))
+            })
+            .collect::<Result<_, UsageError>>()?;
+        Ok(RunallArgs { smoke, max_retries, lineup })
+    }
 }
 
 /// The deliberately faulty harness `runall --smoke` appends: one healthy
@@ -128,4 +212,79 @@ pub(crate) fn suite_scale(
         scale = (scale * grow.clamp(2, 16)).min(e.dim / 2).max(1);
     }
     Ok(scale.min(e.dim / 2).max(1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<RunallArgs, UsageError> {
+        RunallArgs::parse(args.iter().map(|s| s.to_string()))
+    }
+
+    fn names(r: &RunallArgs) -> Vec<&'static str> {
+        r.lineup.iter().map(|(h, _)| h.name).collect()
+    }
+
+    #[test]
+    fn runall_gives_each_harness_its_own_defaults() {
+        let r = parse(&[]).expect("no flags");
+        assert!(!r.smoke);
+        assert_eq!(r.max_retries, 1);
+        assert_eq!(names(&r), ALL.iter().map(|h| h.name).collect::<Vec<_>>());
+        for (h, o) in &r.lineup {
+            assert_eq!((o.scale, o.max_case_secs), (h.defaults.scale, h.defaults.max_case_secs));
+            assert_eq!((o.seed, o.full, o.resume), (42, false, false));
+        }
+    }
+
+    #[test]
+    fn runall_shared_flags_override_every_harness() {
+        for (h, o) in parse(&["--scale", "3"]).expect("--scale").lineup {
+            assert_eq!(o.scale, 3, "{}", h.name);
+        }
+        for (h, o) in parse(&["--full"]).expect("--full").lineup {
+            assert!(o.full, "{}", h.name);
+            assert_eq!(o.scale, 1, "{}", h.name);
+        }
+    }
+
+    #[test]
+    fn runall_smoke_uses_smoke_scales_unless_overridden() {
+        let r = parse(&["--smoke"]).expect("--smoke");
+        assert!(r.smoke);
+        assert_eq!(r.lineup.len(), ALL.len() + 1);
+        assert_eq!(names(&r).last(), Some(&SMOKE_FAULT.name));
+        for (h, o) in &r.lineup {
+            let want = (h.smoke_scale, SMOKE_MAX_CASE_SECS);
+            assert_eq!((o.scale, o.max_case_secs), want, "{}", h.name);
+        }
+        for (h, o) in parse(&["--smoke", "--scale", "5"]).expect("--scale").lineup {
+            assert_eq!((o.scale, o.max_case_secs), (5, SMOKE_MAX_CASE_SECS), "{}", h.name);
+        }
+        for (h, o) in parse(&["--smoke", "--max-case-secs", "9"]).expect("--max-case-secs").lineup {
+            assert_eq!((o.scale, o.max_case_secs), (h.smoke_scale, 9.0), "{}", h.name);
+        }
+        // --only narrows the lineup and keeps ALL's order.
+        let r = parse(&["--smoke", "--only", "fig_sparch", "--only", "fig03", "--max-retries", "0"])
+            .expect("--only");
+        assert_eq!(names(&r), ["fig03", "fig_sparch"]);
+        assert_eq!((r.lineup[1].1.scale, r.lineup[1].1.seed), (16, 42));
+        assert_eq!(r.max_retries, 0);
+    }
+
+    #[test]
+    fn runall_rejects_malformed_arguments() {
+        for bad in [
+            vec!["--scale", "0"],
+            vec!["--table4"],
+            vec!["--only"],
+            vec!["--only", "serve"],
+            vec!["--only", "smoke_fault"],
+            vec!["--max-retries", "-1"],
+        ] {
+            let Err(err) = parse(&bad) else { panic!("accepted {bad:?}") };
+            assert!(!err.message.is_empty());
+        }
+    }
 }

@@ -17,7 +17,7 @@ use crate::{fmt_secs, HarnessDefaults, HarnessOpts};
 
 /// Artifact basename.
 pub const NAME: &str = "sec43";
-/// Per-binary defaults.
+/// Defaults for `--scale` / `--max-case-secs`.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 1, max_case_secs: 300.0 };
 
 struct Row {

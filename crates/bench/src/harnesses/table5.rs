@@ -18,7 +18,7 @@ use crate::{HarnessDefaults, HarnessOpts};
 
 /// Artifact basename.
 pub const NAME: &str = "table5";
-/// Per-binary defaults.
+/// Defaults for `--scale` / `--max-case-secs`.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 4, max_case_secs: 300.0 };
 
 struct Row {

@@ -14,7 +14,7 @@ use crate::{HarnessDefaults, HarnessOpts};
 
 /// Artifact basename.
 pub const NAME: &str = "table6";
-/// Per-binary defaults.
+/// Defaults for `--scale` / `--max-case-secs`.
 pub const DEFAULTS: HarnessDefaults = HarnessDefaults { scale: 1, max_case_secs: 300.0 };
 
 struct SampleRow {

@@ -1,15 +1,16 @@
-//! Shared harness for the per-figure/per-table benchmark binaries.
+//! Shared harness code for the benchmarks that regenerate the paper's
+//! evaluation section.
 //!
-//! Every binary regenerates one artifact of the paper's evaluation section
-//! (see DESIGN.md's experiment index) and prints the same rows/series the
-//! paper reports, plus a JSON dump under `bench_results/` for
-//! EXPERIMENTS.md. Absolute numbers are not expected to match the authors'
-//! testbed — the *shape* (who wins, by what factor, where crossovers fall)
-//! is the reproduction target.
+//! Each harness regenerates one artifact (see DESIGN.md's experiment index)
+//! and prints the same rows/series the paper reports, plus a JSON dump under
+//! `bench_results/` for EXPERIMENTS.md. Absolute numbers are not expected to
+//! match the authors' testbed — the *shape* (who wins, by what factor, where
+//! crossovers fall) is the reproduction target.
 //!
-//! The harness bodies live in [`harnesses`] (one module per figure/table) so
-//! the `runall` driver can run them in-process; each executes its cases
-//! through the crash-safe, resumable [`runner`] layer.
+//! The harness bodies live in [`harnesses`] (one module per figure/table);
+//! the `runall` driver runs them in-process (`runall --only NAME` for one),
+//! and each executes its cases through the crash-safe, resumable [`runner`]
+//! layer.
 
 #![warn(missing_docs)]
 
@@ -22,7 +23,7 @@ use outerspace::sim::xmodels::{gpu::row_imbalance, CpuModel, GpuModel};
 pub mod harnesses;
 pub mod runner;
 
-/// Per-binary defaults applied when the corresponding flag is absent.
+/// A harness's defaults, applied when the corresponding flag is absent.
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessDefaults {
     /// Default workload divisor (`--scale`).
@@ -51,14 +52,14 @@ fn usage_error(message: impl Into<String>) -> UsageError {
     UsageError { message: message.into() }
 }
 
-/// One-line flag summary printed beneath a [`UsageError`].
-pub const USAGE: &str = "usage: <harness> [--scale N] [--full] [--seed N] [--out DIR] \
-     [--resume] [--max-case-secs S] [--table4]";
+/// One-line summary of the flags [`HarnessOpts::parse`] accepts.
+pub const USAGE: &str =
+    "[--scale N] [--full] [--seed N] [--out DIR] [--resume] [--max-case-secs S]";
 
-/// Command-line options shared by all harness binaries.
+/// Command-line options shared by all harnesses.
 ///
 /// * `--scale N` — divide workload dimensions/non-zeros by `N` (default
-///   chosen per binary so a full run takes minutes).
+///   chosen per harness so a full run takes minutes).
 /// * `--full` — run at the paper's original sizes (`scale = 1`, suite caps
 ///   disabled).
 /// * `--seed N` — change the workload seed.
@@ -66,9 +67,7 @@ pub const USAGE: &str = "usage: <harness> [--scale N] [--full] [--seed N] [--out
 /// * `--resume` — skip cases already checkpointed in `<out>/<name>.partial.json`
 ///   (or a previous final dump); failed cases are retried.
 /// * `--max-case-secs S` — per-case wall-clock watchdog (fractional seconds
-///   accepted; `0` disables it). Default is per-binary.
-/// * `--table4` — print the suite inventory instead of running
-///   (`fig07_suite_speedups` only; accepted and ignored elsewhere).
+///   accepted; `0` disables it). Default is per harness.
 #[derive(Debug, Clone)]
 pub struct HarnessOpts {
     /// Workload divisor.
@@ -79,8 +78,6 @@ pub struct HarnessOpts {
     pub out_dir: PathBuf,
     /// `--full`: paper-sized workloads, per-matrix suite caps disabled.
     pub full: bool,
-    /// `--table4`: print the Table 4 suite inventory instead of running.
-    pub table4: bool,
     /// `--resume`: skip checkpointed cases, retry failed ones.
     pub resume: bool,
     /// Per-case watchdog budget in seconds; `<= 0` disables the watchdog.
@@ -99,7 +96,6 @@ impl HarnessOpts {
             seed: 42,
             out_dir: PathBuf::from("bench_results"),
             full: false,
-            table4: false,
             resume: false,
             max_case_secs: defaults.max_case_secs,
         };
@@ -149,26 +145,12 @@ impl HarnessOpts {
                     }
                     opts.max_case_secs = secs;
                 }
-                "--table4" => opts.table4 = true,
                 other => {
                     return Err(usage_error(format!("unknown argument '{other}'")));
                 }
             }
         }
         Ok(opts)
-    }
-
-    /// Parses `std::env::args`; on a malformed command line prints the error
-    /// plus usage to stderr and exits with status 2.
-    pub fn from_args(defaults: HarnessDefaults) -> Self {
-        match Self::parse(std::env::args().skip(1), defaults) {
-            Ok(opts) => opts,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
     }
 }
 
@@ -307,7 +289,7 @@ mod tests {
         let o = parse(&[]).unwrap();
         assert_eq!(o.scale, 8);
         assert_eq!(o.seed, 42);
-        assert!(!o.resume && !o.full && !o.table4);
+        assert!(!o.resume && !o.full);
         assert_eq!(o.max_case_secs, 300.0);
 
         let o = parse(&[
@@ -319,8 +301,8 @@ mod tests {
         assert!(o.resume);
         assert_eq!(o.max_case_secs, 1.5);
 
-        let o = parse(&["--full", "--table4"]).unwrap();
-        assert!(o.full && o.table4);
+        let o = parse(&["--full"]).unwrap();
+        assert!(o.full);
         assert_eq!(o.scale, 1);
     }
 
@@ -335,6 +317,7 @@ mod tests {
             vec!["--max-case-secs", "-1"],
             vec!["--max-case-secs", "soon"],
             vec!["--frobnicate"],
+            vec!["--table4"],
         ] {
             let err = parse(&bad).expect_err(&format!("accepted {bad:?}"));
             assert!(!err.message.is_empty());

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation is regenerated by long sweeps where a single
 //! panicking case, a runaway case, or a `^C` used to discard every completed
-//! row. This layer gives every figure/table binary the same discipline a
+//! row. This layer gives every figure/table harness the same discipline a
 //! preemption-tolerant batch job has:
 //!
 //! * each case runs on its own thread under [`std::panic::catch_unwind`]
@@ -105,7 +105,7 @@ impl CaseRecord {
     fn from_json(j: &Json) -> Option<CaseRecord> {
         Some(CaseRecord {
             case: j.get("case")?.as_str()?.to_string(),
-            scale: j.get("scale")?.as_u64()? as u32,
+            scale: u32::try_from(j.get("scale")?.as_u64()?).ok()?,
             seed: j.get("seed")?.as_u64()?,
             status: CaseStatus::from_str(j.get("status")?.as_str()?)?,
             error: j.get("error").and_then(Json::as_str).map(str::to_string),
@@ -345,7 +345,7 @@ impl Runner {
     ///
     /// The closure executes on a worker thread so it must own its inputs
     /// (`Send + 'static`); panics and watchdog expiries become structured
-    /// records instead of aborting the binary. Returns `None` for
+    /// records instead of aborting the run. Returns `None` for
     /// skipped/panicked/timed-out cases.
     pub fn run_case<R, F>(&mut self, case: &str, f: F) -> Option<Json>
     where
@@ -427,23 +427,6 @@ impl Runner {
 
     fn count(&self, status: CaseStatus) -> usize {
         self.records.iter().filter(|r| r.status == status).count()
-    }
-
-    /// Returns the summary without writing any file or touching the partial
-    /// checkpoint — for inventory-style modes (`--table4`) that run no cases.
-    pub fn finalize_without_write(self) -> RunSummary {
-        RunSummary {
-            harness: self.name.clone(),
-            total: self.records.len(),
-            ok: self.count(CaseStatus::Ok),
-            skipped: self.count(CaseStatus::Skipped),
-            panicked: self.count(CaseStatus::Panicked),
-            timeout: self.count(CaseStatus::Timeout),
-            cached: self.records.iter().filter(|r| r.cached).count(),
-            wall_s: self.started.elapsed().as_secs_f64(),
-            out_path: String::new(),
-            write_error: None,
-        }
     }
 
     /// Writes the final `<out>/<name>.json` — `{ "manifest": ..., "cases":

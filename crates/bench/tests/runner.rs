@@ -179,6 +179,16 @@ fn resume_retries_failed_cases_and_respects_key() {
     let mut third = Runner::new("t", &o2);
     third.run_case("good", || -> CaseResult<u64> { Ok(1) });
     assert_eq!(third.executed(), 1, "different seed must invalidate the checkpoint");
+    drop(third);
+
+    // A checkpoint whose scale is 2^32 + 1 is malformed, not a scale-1 hit.
+    let partial = dir.join("t.partial.json");
+    let text = std::fs::read_to_string(&partial).unwrap();
+    assert!(text.contains("\"scale\": 1,"), "{text}");
+    std::fs::write(&partial, text.replace("\"scale\": 1,", "\"scale\": 4294967297,")).unwrap();
+    let mut fourth = Runner::new("t", &o2);
+    fourth.run_case("good", || -> CaseResult<u64> { Ok(1) });
+    assert_eq!(fourth.executed(), 1, "an out-of-range scale must not alias scale 1");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -12,10 +12,10 @@
 //! through [`outerspace_json::dump::append_jsonl`] — each completed point
 //! appends one line, so a crash mid-sweep loses at most the line being
 //! written, and [`read_jsonl`](outerspace_json::dump::read_jsonl)'s
-//! torn-tail tolerance recovers the rest on the next run. Every entry also
-//! stores its full key *material*; a lookup whose material mismatches the
-//! stored entry (a 128-bit hash collision, or a salt forgery) is treated as
-//! a miss and overwritten, never returned.
+//! torn-tail tolerance recovers the rest on the next run. Every line stores
+//! its full key *material* next to the content address; a line whose
+//! address does not hash its material is skipped on load. In memory the
+//! entries are keyed by the material itself, so a lookup is an exact match.
 
 use std::collections::HashMap;
 use std::io;
@@ -83,66 +83,12 @@ pub fn content_hash(bytes: &[u8]) -> String {
     fnv128_hex(bytes)
 }
 
-/// In-memory content-addressed store: the collision-guarded core of
-/// [`SimCache`], generalized so other subsystems (the serving layer's
-/// result cache, for one) can memoize arbitrary values under the same
-/// contract. Every entry keeps its full key *material*; a lookup whose
-/// material mismatches the stored entry — a 128-bit collision, or key
-/// forgery — is a miss, never a wrong answer.
-#[derive(Debug, Default)]
-pub struct MemoMap<V> {
-    entries: HashMap<String, (String, V)>,
-}
-
-impl<V> MemoMap<V> {
-    /// An empty map.
-    pub fn new() -> MemoMap<V> {
-        MemoMap { entries: HashMap::new() }
-    }
-
-    /// Number of entries held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the map holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Looks up the value stored for `material`. Returns `None` on a genuine
-    /// miss *and* on a hash collision whose stored material differs.
-    pub fn lookup(&self, material: &str) -> Option<&V> {
-        let (stored, value) = self.entries.get(&key_of(material))?;
-        (stored == material).then_some(value)
-    }
-
-    /// Stores `value` under `material`'s content address (last write wins on
-    /// a collision), returning the displaced value if any.
-    pub fn insert(&mut self, material: &str, value: V) -> Option<V> {
-        self.entries
-            .insert(key_of(material), (material.to_string(), value))
-            .map(|(_, old)| old)
-    }
-
-    /// Removes and returns the value stored for `material`, honouring the
-    /// same collision guard as [`MemoMap::lookup`].
-    pub fn remove(&mut self, material: &str) -> Option<V> {
-        let key = key_of(material);
-        match self.entries.get(&key) {
-            Some((stored, _)) if stored == material => {
-                self.entries.remove(&key).map(|(_, v)| v)
-            }
-            _ => None,
-        }
-    }
-}
-
 /// The on-disk memo cache for simulated points.
 #[derive(Debug)]
 pub struct SimCache {
     path: PathBuf,
-    entries: MemoMap<Json>,
+    /// Metrics by key material.
+    entries: HashMap<String, Json>,
     /// Lines present on disk that failed to decode (diagnostics only).
     pub skipped_lines: usize,
 }
@@ -160,7 +106,7 @@ impl SimCache {
     /// I/O failure or interior (non-tail) corruption of the cache file.
     pub fn open(dir: &Path) -> io::Result<SimCache> {
         let path = dir.join(Self::FILE);
-        let mut entries = MemoMap::new();
+        let mut entries = HashMap::new();
         let mut skipped = 0usize;
         match read_jsonl(&path) {
             Ok(lines) => {
@@ -170,7 +116,7 @@ impl SimCache {
                     let metrics = line.get("metrics");
                     match (key, material, metrics) {
                         (Some(k), Some(m), Some(v)) if key_of(m) == k => {
-                            entries.insert(m, v.clone());
+                            entries.insert(m.to_string(), v.clone());
                         }
                         _ => skipped += 1,
                     }
@@ -192,17 +138,14 @@ impl SimCache {
         self.entries.is_empty()
     }
 
-    /// Looks up the metrics for `material`. Returns `None` on a genuine miss
-    /// *and* on a hash collision whose stored material differs (the guard
-    /// that makes a 128-bit collision produce a re-simulation, not a wrong
-    /// answer).
+    /// Looks up the metrics recorded for exactly `material`.
     pub fn lookup(&self, material: &str) -> Option<&Json> {
-        self.entries.lookup(material)
+        self.entries.get(material)
     }
 
     /// Records `metrics` for `material`: one appended line plus the in-memory
-    /// index. Overwrites a colliding entry in memory (last write wins, which
-    /// `open` reproduces by insertion order).
+    /// index. Overwrites an earlier entry for the same material (last write
+    /// wins, which `open` reproduces by insertion order).
     ///
     /// # Errors
     ///
@@ -217,7 +160,7 @@ impl SimCache {
                 ("metrics".into(), metrics.clone()),
             ]),
         )?;
-        self.entries.insert(material, metrics);
+        self.entries.insert(material.to_string(), metrics);
         Ok(())
     }
 }
@@ -316,23 +259,6 @@ mod tests {
             key_of(&key_material(&cfg, wl, Some(2.0), "interval")),
             key_of(&key_material(other, wl, Some(2.0), "interval")),
         );
-    }
-
-    #[test]
-    fn memo_map_guards_collisions_and_supports_removal() {
-        let mut m: MemoMap<u32> = MemoMap::new();
-        assert!(m.is_empty());
-        assert_eq!(m.insert("alpha", 1), None);
-        assert_eq!(m.insert("beta", 2), None);
-        assert_eq!(m.lookup("alpha"), Some(&1));
-        assert_eq!(m.insert("alpha", 3), Some(1));
-        assert_eq!(m.lookup("alpha"), Some(&3));
-        assert_eq!(m.len(), 2);
-        // Removal honours the collision guard: material must match.
-        assert_eq!(m.remove("gamma"), None);
-        assert_eq!(m.remove("beta"), Some(2));
-        assert_eq!(m.len(), 1);
-        assert!(m.lookup("beta").is_none());
     }
 
     #[test]

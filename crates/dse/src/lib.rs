@@ -41,7 +41,7 @@ pub mod pareto;
 pub mod spec;
 pub mod tiers;
 
-pub use cache::{MemoMap, SimCache};
+pub use cache::SimCache;
 pub use executor::{run_sweep, run_sweep_opts, PointOutcome, SweepResult};
 pub use pareto::{analyze, DefaultStatus, ParetoReport};
 pub use spec::{Axis, AxisKind, DsePoint, SpaceSpec, WorkloadSpec};

@@ -259,12 +259,17 @@ impl WorkloadSpec {
             .and_then(Json::as_str)
             .ok_or("workload needs a 'kind' string")?
             .to_string();
+        let u32_field = |field: &str, default: u32| match j.get(field).and_then(Json::as_u64) {
+            None => Ok(default),
+            Some(v) => u32::try_from(v)
+                .map_err(|_| format!("workload '{field}' {v} exceeds {}", u32::MAX)),
+        };
         let w = WorkloadSpec {
             kind,
             name: j.get("name").and_then(Json::as_str).unwrap_or("").to_string(),
-            n: j.get("n").and_then(Json::as_u64).unwrap_or(0) as u32,
+            n: u32_field("n", 0)?,
             nnz: j.get("nnz").and_then(Json::as_u64).unwrap_or(0) as usize,
-            scale: j.get("scale").and_then(Json::as_u64).unwrap_or(1) as u32,
+            scale: u32_field("scale", 1)?,
         };
         match w.kind.as_str() {
             "suite" if w.name.is_empty() => Err("suite workload needs a 'name'".into()),
@@ -608,6 +613,17 @@ mod tests {
                 r#"{"name":"x","axes":[],"alphas":[-1.0],
                    "workloads":[{"kind":"uniform","n":8,"nnz":8}]}"#,
                 "positive",
+            ),
+            // 2^32 + 100 rows must not wrap to a 100-row matrix.
+            (
+                r#"{"name":"x","axes":[],
+                   "workloads":[{"kind":"uniform","n":4294967396,"nnz":8}]}"#,
+                "workload 'n' 4294967396",
+            ),
+            (
+                r#"{"name":"x","axes":[],
+                   "workloads":[{"kind":"suite","name":"wiki-Vote","scale":4294967300}]}"#,
+                "workload 'scale'",
             ),
         ] {
             let err = SpaceSpec::parse_str(text).unwrap_err();

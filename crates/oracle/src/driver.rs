@@ -395,7 +395,6 @@ mod tests {
             seed: 42,
             out_dir: out.to_path_buf(),
             full: false,
-            table4: false,
             resume: false,
             max_case_secs: 0.0,
         }

@@ -177,7 +177,12 @@ impl Repro {
             impl_name: field("impl")?,
             case: field("case")?,
             seed: j.get("seed").and_then(Json::as_u64).unwrap_or(0),
-            scale: j.get("scale").and_then(Json::as_u64).unwrap_or(1) as u32,
+            scale: match j.get("scale").and_then(Json::as_u64) {
+                None => 1,
+                Some(v) => u32::try_from(v).map_err(|_| {
+                    format!("{}: 'scale' {v} exceeds {}", mpath.display(), u32::MAX)
+                })?,
+            },
             error: field("error").unwrap_or_default(),
             shrink: ShrinkStats {
                 evals: j.get("shrink_evals").and_then(Json::as_u64).unwrap_or(0) as usize,
@@ -291,6 +296,13 @@ mod tests {
         // `{:e}` formatting round-trips f64 exactly — operands identical.
         assert_eq!(back.a, repro.a);
         assert_eq!(back.b, repro.b);
+        // A scale of 2^32 + 48 is malformed, not a scale-48 repro.
+        let mpath = dir.join("manifest.json");
+        let text = std::fs::read_to_string(&mpath).unwrap();
+        assert!(text.contains("\"scale\": 48"), "{text}");
+        std::fs::write(&mpath, text.replace("\"scale\": 48", "\"scale\": 4294967344")).unwrap();
+        let err = Repro::load(&dir).unwrap_err();
+        assert!(err.contains("'scale' 4294967344"), "{err}");
         let _ = std::fs::remove_dir_all(&root);
     }
 

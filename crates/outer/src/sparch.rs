@@ -205,17 +205,18 @@ fn stream_to_csr(stream: Stream, nrows: Index, ncols: Index) -> Csr {
 /// leaves are created in index order and merged runs after them, in the
 /// order they are produced. `merge(inputs, last)` combines the picked
 /// streams, given in selection order; `last` marks the op that leaves a
-/// single stream live. Returns the schedule and the final stream (`None`
-/// without leaves).
+/// single stream live. `ways` below 2 counts as 2. Returns the schedule
+/// and the final stream (`None` without leaves).
 ///
-/// Both planners run this one loop, so the functional and the structural
-/// plans cannot drift apart in their selection order.
-fn huffman_schedule<S>(
+/// Both planners, and the interval tier's synthetic schedule in `sim`, run
+/// this one loop, so their plans cannot drift apart in selection order.
+pub fn huffman_schedule<S>(
     leaves: Vec<S>,
     ways: usize,
     elems: impl Fn(&S) -> u64,
     mut merge: impl FnMut(Vec<S>, bool) -> S,
 ) -> (Vec<SparchMergeOp>, Option<S>) {
+    let ways = ways.max(2);
     let mut seq = leaves.len();
     let mut live: Vec<(usize, S)> = leaves.into_iter().enumerate().collect();
     let mut ops = Vec::new();

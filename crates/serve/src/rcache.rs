@@ -3,11 +3,10 @@
 //!
 //! The key is built from the *content* of the operands (dims, structure
 //! arrays, value bits) plus the op kind — not from request ids — so two
-//! clients submitting the same product share one entry. Storage is the
-//! collision-guarded [`MemoMap`] generalized out of `dse::cache`, wrapped
-//! here with a mutex and FIFO capacity eviction so a long-running service
-//! cannot grow without bound. Results are `Arc`-shared: a hit is a clone of
-//! the pointer, not of the matrix.
+//! clients submitting the same product share one entry. Storage is a map
+//! keyed by that material, behind a mutex and with FIFO capacity eviction
+//! so a long-running service cannot grow without bound. Results are
+//! `Arc`-shared: a hit is a clone of the pointer, not of the matrix.
 //!
 //! Insertion is **verify-before-insert**: [`ResultCache::insert`] demands
 //! the [`Attested`] token only [`crate::verifier::check`] can mint, so a
@@ -16,11 +15,10 @@
 //! service has (one bad compute served to every future client), which is
 //! why the guarantee lives in the type system.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use outerspace_dse::cache::content_hash;
-use outerspace_dse::MemoMap;
 use outerspace_sparse::{Csr, SparseVector};
 
 use crate::request::{Op, OpOutput};
@@ -59,8 +57,7 @@ fn vector_digest(x: &SparseVector) -> String {
 }
 
 /// The full key material for one op — op kind plus per-operand content
-/// digests. Human-readable on purpose: it doubles as the collision-guard
-/// payload inside [`MemoMap`].
+/// digests. [`ResultCache`] is keyed by it.
 pub fn op_material(op: &Op) -> String {
     match op {
         Op::Spgemm { a, b } => format!("spgemm a={} b={}", csr_digest(a), csr_digest(b)),
@@ -69,7 +66,7 @@ pub fn op_material(op: &Op) -> String {
 }
 
 struct Inner {
-    map: MemoMap<Arc<OpOutput>>,
+    map: HashMap<String, Arc<OpOutput>>,
     fifo: VecDeque<String>,
     hits: u64,
     misses: u64,
@@ -98,7 +95,7 @@ impl ResultCache {
     pub fn new(cap: usize) -> ResultCache {
         ResultCache {
             inner: Mutex::new(Inner {
-                map: MemoMap::new(),
+                map: HashMap::new(),
                 fifo: VecDeque::new(),
                 hits: 0,
                 misses: 0,
@@ -114,7 +111,7 @@ impl ResultCache {
     /// Looks up a result by pre-computed key material (see [`op_material`]).
     pub fn lookup(&self, material: &str) -> Option<Arc<OpOutput>> {
         let mut inner = self.lock();
-        match inner.map.lookup(material).cloned() {
+        match inner.map.get(material).cloned() {
             Some(v) => {
                 inner.hits += 1;
                 Some(v)
@@ -135,7 +132,7 @@ impl ResultCache {
             return;
         }
         let mut inner = self.lock();
-        if inner.map.insert(material, value).is_none() {
+        if inner.map.insert(material.to_string(), value).is_none() {
             inner.fifo.push_back(material.to_string());
         }
         while inner.fifo.len() > self.cap {

@@ -477,56 +477,38 @@ fn structural_merge_outerspace(
     })
 }
 
-/// Replays the SpArch planner's Huffman policy (`ways` smallest live
-/// streams, ties by creation order) over the structural leaf sizes, with a
-/// survival-rate shrink model for each op's output:
-/// `out = clamp(round(in * survival), max_input, in)`. Returns the ops and
-/// the final stream size.
-fn synth_sparch_ops(
-    leaf_elems: &[u64],
-    ways: usize,
-    survival: f64,
-) -> (Vec<SparchMergeOp>, u64) {
-    let mut live: Vec<(usize, u64)> =
-        leaf_elems.iter().enumerate().map(|(s, &e)| (s, e)).collect();
-    let mut seq = live.len();
-    let mut ops = Vec::new();
-    while live.len() > 1 {
-        live.sort_by_key(|&(s, e)| (e, s));
-        let take = ways.min(live.len());
-        let picked: Vec<(usize, u64)> = live.drain(..take).collect();
-        let in_sum: u64 = picked.iter().map(|&(_, e)| e).sum();
-        let max_in: u64 = picked.iter().map(|&(_, e)| e).max().unwrap_or(0);
-        let out = ((in_sum as f64 * survival).round() as u64).clamp(max_in, in_sum);
-        ops.push(SparchMergeOp {
-            input_elems: picked.iter().map(|&(_, e)| e).collect(),
-            out_elems: out,
-        });
-        live.push((seq, out));
-        seq += 1;
-    }
-    (ops, live.pop().map_or(0, |(_, e)| e))
-}
-
-/// Bisects the survival rate so the synthetic schedule's final stream hits
+/// Bisects the survival rate so a synthetic schedule's final stream hits
 /// `target` (the structural result estimate) as closely as the shrink
-/// model allows. The final size is monotone non-decreasing in the survival
-/// rate, so 50 halvings pin it to the model's granularity.
+/// model allows. The schedule is the SpArch planner's own Huffman loop
+/// ([`outer::huffman_schedule`]) over the structural leaf sizes, with each
+/// op's output shrunk to `clamp(round(in * survival), max_input, in)`. The
+/// final size is monotone non-decreasing in the survival rate, so 50
+/// halvings pin it to the model's granularity. Returns the ops and the
+/// final stream size.
 fn fit_sparch_ops(leaf_elems: &[u64], ways: usize, target: u64) -> (Vec<SparchMergeOp>, u64) {
+    let synth = |survival: f64| {
+        let (ops, fin) =
+            outer::huffman_schedule(leaf_elems.to_vec(), ways, |&e| e, |inputs, _| {
+                let in_sum: u64 = inputs.iter().sum();
+                let max_in = inputs.iter().copied().max().unwrap_or(0);
+                ((in_sum as f64 * survival).round() as u64).clamp(max_in, in_sum)
+            });
+        (ops, fin.unwrap_or(0))
+    };
     if leaf_elems.len() <= 1 {
         return (Vec::new(), leaf_elems.first().copied().unwrap_or(0));
     }
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     for _ in 0..50 {
         let mid = 0.5 * (lo + hi);
-        let (_, fin) = synth_sparch_ops(leaf_elems, ways, mid);
+        let (_, fin) = synth(mid);
         if fin < target {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    synth_sparch_ops(leaf_elems, ways, hi)
+    synth(hi)
 }
 
 /// SpArch merge from structural metadata: exact leaf sizes (one pass over
@@ -534,7 +516,7 @@ fn fit_sparch_ops(leaf_elems: &[u64], ways: usize, target: u64) -> (Vec<SparchMe
 /// synthetic Huffman schedule whose shrink rate is fitted to the
 /// structural result-size estimate. The real merge-tree kernel replays the
 /// synthetic plan — its internal selection re-derivation matches because
-/// the synthesis mirrors the planner's policy exactly.
+/// the synthesis runs the planner's own scheduling loop.
 fn structural_merge_sparch(
     cfg: &OuterSpaceConfig,
     a: &Csr,
