@@ -7,7 +7,12 @@
 //! multiply phase into the arena intermediate, the merge phase (streaming
 //! vs sort vs cache-blocked, timed in isolation on a once-built arena),
 //! and the end-to-end SpGEMM drivers. Each kernel × workload cell is timed
-//! with warmup, repetition, and median-of-k reporting.
+//! with warmup, repetition, and median-of-k reporting. Three more cells
+//! time the simulator's cycle engines alone — the OuterSPACE multiply
+//! (`sim_multiply`) and merge (`sim_merge`) phases and the SpArch analog's
+//! condensed multiply plus merge tree (`sparch_engines`) — on layouts,
+//! merge shapes and plans built outside the timed region, so the gate
+//! also guards engine speed.
 //!
 //! Every run appends one entry to `<out>/BENCH_kernels.json` (JSONL via
 //! [`outerspace_json::dump::append_jsonl`], so concurrent/interrupted
@@ -23,9 +28,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use outerspace::outer::{
-    merge, multiply, spgemm, spgemm_parallel, spgemm_with_stats, ArenaProducts, MergeKind,
+    condense, merge, multiply, sparch_structural_plan, spgemm, spgemm_parallel,
+    spgemm_with_stats, ArenaProducts, MergeKind,
 };
 use outerspace::prelude::*;
+use outerspace::sim::phases::{merge as merge_phase, multiply as multiply_phase, sparch};
 
 use crate::runner::{git_rev, CaseResult, Runner};
 use crate::{fmt_secs, HarnessDefaults, HarnessOpts};
@@ -55,15 +62,16 @@ const REL_TOL: f64 = 1.05;
 const ABS_SLACK_S: f64 = 0.5e-3;
 
 /// Cells the [`check`] gate compares (substring-free exact names). Chosen
-/// to cover both tentpole fast paths plus the end-to-end drivers, on the
-/// workloads where they run ≥ a few milliseconds at the default scale, so
-/// the 5% gate is meaningful.
+/// to cover both tentpole fast paths, the end-to-end drivers and one
+/// simulator engine, on the workloads where they run ≥ a few milliseconds
+/// at the default scale, so the 5% gate is meaningful.
 pub const PINNED_CELLS: &[&str] = &[
     "uniform/multiply_arena",
     "uniform/merge_blocked",
     "uniform/spgemm_outer_blocked",
     "uniform/spgemm_outer_streaming",
     "rmat/spgemm_outer_ws_par",
+    "uniform/sim_merge",
 ];
 
 /// Trajectory file name under `--out`.
@@ -171,9 +179,11 @@ fn workloads(opts: &HarnessOpts) -> Vec<(&'static str, Csr, Csr)> {
 /// Builds every kernel × workload cell. Multiply cells time the phase from
 /// the pre-converted CC operand; merge cells time the phase alone against
 /// a pre-built arena intermediate (setup excluded from the timed region);
-/// spgemm cells time the full driver including conversion.
+/// spgemm cells time the full driver including conversion; engine cells
+/// time one simulated phase on the default machine.
 fn build_cells(opts: &HarnessOpts) -> Vec<CellSpec> {
     let mut cells = Vec::new();
+    let cfg = Arc::new(OuterSpaceConfig::default());
     for (workload, a, b) in workloads(opts) {
         let a = Arc::new(a);
         let b = Arc::new(b);
@@ -236,6 +246,45 @@ fn build_cells(opts: &HarnessOpts) -> Vec<CellSpec> {
                 std::hint::black_box(
                     outerspace::baselines::gustavson::spgemm(&aa, &bb).expect("square"),
                 );
+            }),
+        ));
+
+        // Engine cells: what each timed phase reads (the intermediate
+        // layout, per-row merge shapes, the SpArch plan) is built here.
+        let c = spgemm(&a, &b).expect("square");
+        let (_, layout) = multiply_phase::simulate_multiply(&cfg, &a_cc, &b).expect("fault-free");
+        let rows = merge_phase::row_merge_infos(&layout, &c).expect("counts fit u32");
+        let plan = sparch_structural_plan(&a, &b, cfg.merge_tree_ways as usize, c.nnz() as u64)
+            .expect("square");
+        let (layout, rows, plan) = (Arc::new(layout), Arc::new(rows), Arc::new(plan));
+        let condensed = Arc::new(condense(&a));
+        let (cf, ac, bb) = (cfg.clone(), a_cc.clone(), b.clone());
+        cells.push(spec(
+            "sim_multiply",
+            Box::new(move || {
+                std::hint::black_box(
+                    multiply_phase::simulate_multiply_with_breakdown(&cf, &ac, &bb)
+                        .expect("fault-free"),
+                );
+            }),
+        ));
+        let cf = cfg.clone();
+        cells.push(spec(
+            "sim_merge",
+            Box::new(move || {
+                std::hint::black_box(
+                    merge_phase::simulate_merge_with_breakdown(&cf, &layout, &rows)
+                        .expect("fault-free"),
+                );
+            }),
+        ));
+        let (cf, bb) = (cfg.clone(), b.clone());
+        cells.push(spec(
+            "sparch_engines",
+            Box::new(move || {
+                let mul = sparch::simulate_condensed_multiply(&cf, &condensed, &bb, &plan);
+                std::hint::black_box(mul.expect("fault-free"));
+                std::hint::black_box(sparch::simulate_merge_tree(&cf, &plan).expect("fault-free"));
             }),
         ));
     }

@@ -26,7 +26,6 @@
 //! action as JSON lines through [`outerspace_json::dump`]'s append-safe
 //! writer.
 
-use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 
@@ -145,32 +144,10 @@ pub struct NoObserver;
 
 impl<T> KernelObserver<T> for NoObserver {}
 
-const LEVEL_L0: usize = 0;
-const LEVEL_L1: usize = 1;
-const LEVEL_HBM: usize = 2;
-
-fn level_of(outcome: AccessOutcome) -> usize {
-    match outcome {
-        AccessOutcome::L0Hit => LEVEL_L0,
-        AccessOutcome::L1Hit => LEVEL_L1,
-        AccessOutcome::Hbm => LEVEL_HBM,
-    }
-}
-
-/// Per-PE attribution state: a shadow of the PE's outstanding-request queue
-/// annotated with the level that serviced each completion, plus the stall
-/// and idle tallies.
-#[derive(Debug, Clone, Default)]
-struct PeAttribution {
-    shadow: VecDeque<(u64, usize)>,
-    stall: [u64; 3],
-    idle: u64,
-}
-
 /// The memory-script surface a kernel's [`PhaseKernel::execute`] runs on:
 /// one PE, one L0 domain, and the shared memory system. Each primitive
-/// reproduces the timing idiom of the hand-rolled phase loops exactly while
-/// recording where the PE's waits came from.
+/// reproduces the timing idiom of the hand-rolled phase loops exactly; the
+/// PE's own queue records where its waits came from.
 #[derive(Debug)]
 pub struct PeCtx<'a> {
     mem: &'a mut MemorySystem,
@@ -178,13 +155,13 @@ pub struct PeCtx<'a> {
     l0: usize,
     block: u64,
     last_data: u64,
-    last_level: usize,
-    attr: Option<&'a mut PeAttribution>,
+    last_level: AccessOutcome,
 }
 
 impl<'a> PeCtx<'a> {
-    /// A standalone context (no cycle attribution) — the trace replayer
-    /// drives frozen schedules through this.
+    /// A context running scripts on `pe` through L0 domain `l0` — the
+    /// engine's per-item context, and the trace replayer's for frozen
+    /// schedules.
     pub fn new(
         mem: &'a mut MemorySystem,
         pe: &'a mut PeTimeline,
@@ -193,32 +170,11 @@ impl<'a> PeCtx<'a> {
     ) -> Self {
         PeCtx {
             last_data: pe.time,
-            last_level: LEVEL_HBM,
+            last_level: AccessOutcome::Hbm,
             mem,
             pe,
             l0,
             block: block_bytes,
-            attr: None,
-        }
-    }
-
-    /// Mirrors the queue pop `issue`/`track` will perform when the
-    /// outstanding queue is full, attributing the induced stall to the
-    /// popped completion's service level.
-    fn pre_op(&mut self) {
-        let Some(attr) = self.attr.as_deref_mut() else { return };
-        if attr.shadow.len() == self.pe.queue_cap() {
-            if let Some((c, lvl)) = attr.shadow.pop_front() {
-                if c > self.pe.time {
-                    attr.stall[lvl] += c - self.pe.time;
-                }
-            }
-        }
-    }
-
-    fn note_completion(&mut self, completion: u64, level: usize) {
-        if let Some(attr) = self.attr.as_deref_mut() {
-            attr.shadow.push_back((completion, level));
         }
     }
 
@@ -226,13 +182,9 @@ impl<'a> PeCtx<'a> {
     /// completion tracked in the outstanding queue). Returns the data-ready
     /// cycle.
     pub fn read(&mut self, addr: u64) -> u64 {
-        self.pre_op();
         let t = self.pe.issue();
-        let (c, outcome) = self.mem.read(self.l0, addr, t);
-        self.pre_op();
-        self.pe.track(c);
-        let level = level_of(outcome);
-        self.note_completion(c, level);
+        let (c, level) = self.mem.read(self.l0, addr, t);
+        self.pe.track(c, level);
         if c > self.last_data {
             self.last_data = c;
             self.last_level = level;
@@ -261,12 +213,7 @@ impl<'a> PeCtx<'a> {
     /// Blocks until every read issued so far has delivered, attributing the
     /// wait to the slowest read's service level.
     pub fn wait_for_data(&mut self) {
-        if self.last_data > self.pe.time {
-            if let Some(attr) = self.attr.as_deref_mut() {
-                attr.stall[self.last_level] += self.last_data - self.pe.time;
-            }
-            self.pe.wait_until(self.last_data);
-        }
+        self.pe.stall_until(self.last_data, self.last_level);
     }
 
     /// Occupies the PE until cycle `t` (counted busy in the breakdown —
@@ -288,10 +235,7 @@ impl<'a> PeCtx<'a> {
     /// and only stalls when the queue fills (the §5.4 latency-hiding idiom
     /// closing the multiply-chunk and merge-pass scripts).
     pub fn track_tail(&mut self) {
-        self.pre_op();
-        self.pe.track(self.last_data);
-        let (c, lvl) = (self.last_data, self.last_level);
-        self.note_completion(c, lvl);
+        self.pe.track(self.last_data, self.last_level);
     }
 
     /// The PE's current local cycle.
@@ -337,7 +281,6 @@ where
     apply_fault_model(cfg, pes);
     let n = pes.len();
     let group_size = if pes.n_groups() == 0 { 1 } else { n / pes.n_groups() };
-    let mut attrs: Vec<PeAttribution> = vec![PeAttribution::default(); n];
     let mut fb = Feedback::default();
 
     loop {
@@ -349,9 +292,9 @@ where
                 if obs.poll_abort(frontier) {
                     return Err(SimError::Aborted { phase, frontier });
                 }
-                let g = pes.try_earliest_group().ok_or(SimError::AllPesFailed { phase })?;
+                let (g, pe) = pes.try_dispatch().ok_or(SimError::AllPesFailed { phase })?;
                 let l0 = g.min(mem.n_l0() - 1);
-                let t = pes.group_min_time(g);
+                let t = pes.pe(pe).time;
                 for addr in reads {
                     obs.on_control_read(g, addr);
                     let _ = mem.read(l0, addr, t);
@@ -374,7 +317,6 @@ where
                                 obs,
                                 mem,
                                 pes,
-                                &mut attrs,
                                 block,
                                 batch.min_start,
                                 g,
@@ -403,7 +345,6 @@ where
                                     obs,
                                     mem,
                                     pes,
-                                    &mut attrs,
                                     block,
                                     batch.min_start,
                                     tile,
@@ -422,25 +363,9 @@ where
     }
 
     check_phase_health(phase, cfg, mem, pes)?;
-    // Pre-drain attribution: the end-of-phase drain will jump each PE over
-    // its remaining completions; classify those jumps now, while the level
-    // annotations are still paired with the queue entries. A corpse is
-    // different: its timeline was rolled back to the kill cycle and its
-    // in-flight responses abandoned, so the jumps its shadow describes
-    // never happen — drop the entries instead of booking phantom stalls.
-    for (i, attr) in attrs.iter_mut().enumerate() {
-        if pes.is_dead(i) {
-            attr.shadow.clear();
-            continue;
-        }
-        let mut t = pes.pe(i).time;
-        while let Some((c, lvl)) = attr.shadow.pop_front() {
-            if c > t {
-                attr.stall[lvl] += c - t;
-                t = c;
-            }
-        }
-    }
+    // The end-of-phase drain jumps each PE over its remaining completions;
+    // book those jumps as stalls now, from the queues the last items left.
+    pes.book_drain_stalls();
     let mut stats = collect_stats(cfg, mem, pes, 0);
     let makespan = stats.cycles;
     let mut stall = [0u64; 3];
@@ -449,21 +374,24 @@ where
     // plus each corpse's post-death tail: a dead PE contributes no useful,
     // stalled, or idle cycles after its kill cycle — that silicon is lost.
     let mut lost = pes.recovery_lost();
-    for (i, attr) in attrs.iter().enumerate() {
-        for (acc, s) in stall.iter_mut().zip(attr.stall) {
+    for i in 0..n {
+        let pe = pes.pe(i);
+        for (acc, s) in stall.iter_mut().zip(pe.stalls()) {
             *acc += s;
         }
-        let tail = makespan.saturating_sub(pes.pe(i).time);
+        let tail = makespan.saturating_sub(pe.time);
         if pes.is_dead(i) {
             lost += tail;
-            idle += attr.idle;
+            idle += pe.idle();
         } else {
-            idle += attr.idle + tail;
+            idle += pe.idle() + tail;
         }
     }
-    stats.stall_l0_cycles = stall[LEVEL_L0];
-    stats.stall_l1_cycles = stall[LEVEL_L1];
-    stats.stall_hbm_cycles = stall[LEVEL_HBM];
+    // Indexed by `AccessOutcome as usize`.
+    let [stall_l0, stall_l1, stall_hbm] = stall;
+    stats.stall_l0_cycles = stall_l0;
+    stats.stall_l1_cycles = stall_l1;
+    stats.stall_hbm_cycles = stall_hbm;
     stats.idle_pe_cycles = idle;
     stats.lost_pe_cycles = lost;
     kernel.finish(&mut stats);
@@ -474,12 +402,13 @@ where
         .saturating_sub(lost);
     let breakdown = CycleBreakdown {
         pe_class: kernel.pe_class().to_string(),
-        n_pes: n as u32,
+        // The array holds one timeline per PE, so `n` is far below u32::MAX.
+        n_pes: u32::try_from(n).expect("PE counts fit u32"),
         makespan,
         busy_cycles: busy,
-        stall_l0_cycles: stall[LEVEL_L0],
-        stall_l1_cycles: stall[LEVEL_L1],
-        stall_hbm_cycles: stall[LEVEL_HBM],
+        stall_l0_cycles: stall_l0,
+        stall_l1_cycles: stall_l1,
+        stall_hbm_cycles: stall_hbm,
         idle_cycles: idle,
         lost_cycles: lost,
         channel_busy_cycles: mem.channel_busy(),
@@ -495,7 +424,6 @@ fn run_one<K, O>(
     obs: &mut O,
     mem: &mut MemorySystem,
     pes: &mut PeArray,
-    attrs: &mut [PeAttribution],
     block: u64,
     min_start: u64,
     g: usize,
@@ -505,26 +433,10 @@ fn run_one<K, O>(
     K: PhaseKernel,
     O: KernelObserver<K::Item>,
 {
-    let attr = &mut attrs[pe_idx];
-    {
-        let pe = pes.pe_mut(pe_idx);
-        if min_start > pe.time {
-            attr.idle += min_start - pe.time;
-            pe.wait_until(min_start);
-        }
-    }
+    pes.pe_mut(pe_idx).idle_until(min_start);
     obs.on_item(pe_idx, g, item);
     let l0 = g.min(mem.n_l0() - 1);
-    let pe = pes.pe_mut(pe_idx);
-    let mut ctx = PeCtx {
-        last_data: pe.time,
-        last_level: LEVEL_HBM,
-        mem,
-        pe,
-        l0,
-        block,
-        attr: Some(attr),
-    };
+    let mut ctx = PeCtx::new(mem, pes.pe_mut(pe_idx), l0, block);
     kernel.execute(item, &mut ctx);
 }
 
@@ -844,6 +756,36 @@ mod tests {
         assert_eq!(back[0].get("kind").and_then(Json::as_str), Some("item"));
         assert!(back[0].get("item").is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zero_byte_stream_issues_nothing() {
+        let c = cfg();
+        let mut mem = MemorySystem::for_multiply(&c);
+        let mut pe = PeTimeline::new(4);
+        let mut ctx = PeCtx::new(&mut mem, &mut pe, 0, c.block_bytes as u64);
+        ctx.read_stream(64, 0);
+        ctx.wait_for_data();
+        assert_eq!(ctx.time(), 0);
+        assert_eq!(mem.counters.l0_hits + mem.counters.l0_misses, 0);
+        assert_eq!(pe.stalls(), [0; 3]);
+    }
+
+    #[test]
+    fn waits_are_booked_to_the_serving_level() {
+        let c = cfg();
+        let mut mem = MemorySystem::for_multiply(&c);
+        let mut pe = PeTimeline::new(4);
+        let mut ctx = PeCtx::new(&mut mem, &mut pe, 0, c.block_bytes as u64);
+        let cold = ctx.read(0x1000);
+        ctx.wait_for_data();
+        assert_eq!(ctx.time(), cold);
+        let warm = ctx.read(0x1008);
+        ctx.wait_for_data();
+        assert_eq!(warm, cold + 1 + c.l0_hit_cycles);
+        // One issue cycle per read; everything else was a stall on the
+        // level that served the read the PE waited for.
+        assert_eq!(pe.stalls(), [c.l0_hit_cycles, 0, cold - 1]);
     }
 
     #[test]

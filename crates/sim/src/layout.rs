@@ -33,13 +33,16 @@ pub const SCRATCH_BASE: u64 = 0x4000_0000_0000;
 pub const OUT_BASE: u64 = 0x5000_0000_0000;
 
 /// A chunk of the intermediate structure: one outer product's contribution
-/// to one result row, resident at `addr`.
+/// to one result row, resident at `addr`. The merge model also describes
+/// its sub-merge runs with chunk references, and a run can hold more than
+/// `u32::MAX` elements, so the length is 64-bit (the struct is 16 bytes
+/// either way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRef {
     /// Simulated byte address of the chunk's first element.
     pub addr: u64,
     /// Elements in the chunk.
-    pub len: u32,
+    pub len: u64,
 }
 
 /// The simulated placement of the whole intermediate structure: per result
@@ -60,7 +63,8 @@ impl IntermediateLayout {
     /// address.
     pub fn alloc_chunk(&mut self, i: Index, len: u32) -> u64 {
         let addr = self.bump;
-        self.bump += len as u64 * ELEM_BYTES;
+        let len = u64::from(len);
+        self.bump += len * ELEM_BYTES;
         self.rows[i as usize].push(ChunkRef { addr, len });
         addr
     }
@@ -77,7 +81,7 @@ impl IntermediateLayout {
 
     /// Total elements across all chunks.
     pub fn total_elements(&self) -> u64 {
-        self.rows.iter().flatten().map(|c| c.len as u64).sum()
+        self.rows.iter().flatten().map(|c| c.len).sum()
     }
 
     /// Total bytes occupied by the intermediate arena.

@@ -6,8 +6,26 @@
 //! 64-entry outstanding-request queue of Table 2): issuing a request when
 //! the queue is full stalls the PE until the oldest completes — which is how
 //! MSHR/queue back-pressure limits memory-level parallelism in the model.
+//!
+//! Each queue entry carries the level that served it (L0, L1 or HBM) in the
+//! low bits of its completion cycle, so the one queue both times the PE and
+//! attributes its stalls: a full-queue stall is booked to the popped
+//! entry's level. Greedy dispatch is one pass over the array that picks the
+//! live PE with the smallest `(time, index)`; its group is the index divided
+//! by the group size, so the lowest index wins ties exactly as a per-group
+//! scan would.
 
 use std::collections::VecDeque;
+
+use crate::mem::AccessOutcome;
+
+/// Low bits of a queue entry holding the serving level; the completion
+/// cycle sits above them.
+const LEVEL_BITS: u32 = 2;
+const LEVEL_MASK: u64 = (1 << LEVEL_BITS) - 1;
+/// Largest completion cycle a queue entry can hold (2^62 - 1 cycles, about
+/// 97 years of simulated time at 1.5 GHz).
+const MAX_COMPLETION: u64 = u64::MAX >> LEVEL_BITS;
 
 /// One PE's timeline.
 #[derive(Debug, Clone)]
@@ -16,6 +34,13 @@ pub struct PeTimeline {
     pub time: u64,
     /// Cycles spent issuing or computing (for utilization accounting).
     pub busy: u64,
+    /// Cycles stalled on a completion, indexed by the serving level
+    /// (`AccessOutcome as usize`).
+    stall: [u64; 3],
+    /// Cycles idled at dispatch gates.
+    idle: u64,
+    /// In-flight completions, oldest first: `completion << LEVEL_BITS |
+    /// level`.
     inflight: VecDeque<u64>,
     cap: usize,
 }
@@ -23,32 +48,54 @@ pub struct PeTimeline {
 impl PeTimeline {
     /// A PE starting at cycle 0 with an outstanding queue of `cap` entries.
     pub fn new(cap: usize) -> Self {
-        PeTimeline { time: 0, busy: 0, inflight: VecDeque::with_capacity(cap), cap: cap.max(1) }
+        PeTimeline {
+            time: 0,
+            busy: 0,
+            stall: [0; 3],
+            idle: 0,
+            inflight: VecDeque::with_capacity(cap),
+            cap: cap.max(1),
+        }
+    }
+
+    /// Stalls until cycle `t` on a completion served by level `level`
+    /// (`AccessOutcome as usize`); no-op if already past it.
+    fn stall_on(&mut self, t: u64, level: usize) {
+        if t > self.time {
+            self.stall[level] += t - self.time;
+            self.time = t;
+        }
+    }
+
+    /// Frees a queue slot when the queue is full: waits for the oldest
+    /// completion, booking the wait to the level that served it.
+    fn make_room(&mut self) {
+        if self.inflight.len() == self.cap {
+            let oldest = self.inflight.pop_front().expect("queue full implies non-empty");
+            self.stall_on(oldest >> LEVEL_BITS, (oldest & LEVEL_MASK) as usize);
+        }
     }
 
     /// Spends one issue cycle, stalling first if the outstanding queue is
     /// full. Returns the cycle at which the request leaves the PE.
     pub fn issue(&mut self) -> u64 {
-        if self.inflight.len() == self.cap {
-            let oldest = self.inflight.pop_front().expect("queue full implies non-empty");
-            if oldest > self.time {
-                self.time = oldest;
-            }
-        }
+        self.make_room();
         self.time += 1;
         self.busy += 1;
         self.time
     }
 
-    /// Records an issued request's completion time in the queue.
-    pub fn track(&mut self, completion: u64) {
-        if self.inflight.len() == self.cap {
-            let oldest = self.inflight.pop_front().expect("non-empty");
-            if oldest > self.time {
-                self.time = oldest;
-            }
-        }
-        self.inflight.push_back(completion);
+    /// Records an issued request's completion time, and the level that
+    /// served it, in the queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `completion` is 2^62 or later (it must fit above the
+    /// level bits of a queue entry).
+    pub fn track(&mut self, completion: u64, level: AccessOutcome) {
+        assert!(completion <= MAX_COMPLETION, "completion cycle {completion} overflows the queue");
+        self.make_room();
+        self.inflight.push_back(completion << LEVEL_BITS | level as u64);
     }
 
     /// Spends `cycles` computing.
@@ -57,24 +104,58 @@ impl PeTimeline {
         self.busy += cycles;
     }
 
-    /// Stalls until cycle `t` (no-op if already past it).
+    /// Stalls until cycle `t` (no-op if already past it), unattributed.
     pub fn wait_until(&mut self, t: u64) {
         if t > self.time {
             self.time = t;
         }
     }
 
-    /// Capacity of the outstanding-request queue.
-    pub fn queue_cap(&self) -> usize {
-        self.cap
+    /// Stalls until cycle `t` on data served by `level` (no-op if already
+    /// past it), booking the wait as a stall on that level.
+    pub fn stall_until(&mut self, t: u64, level: AccessOutcome) {
+        self.stall_on(t, level as usize);
+    }
+
+    /// Idles until cycle `t` (no-op if already past it), booking the gap as
+    /// idle — a work item released no earlier than `t`.
+    pub fn idle_until(&mut self, t: u64) {
+        if t > self.time {
+            self.idle += t - self.time;
+            self.time = t;
+        }
+    }
+
+    /// Stall cycles so far, indexed by serving level (`AccessOutcome as
+    /// usize`: L0, L1, HBM).
+    pub fn stalls(&self) -> [u64; 3] {
+        self.stall
+    }
+
+    /// Idle cycles so far (dispatch gates only; the post-work tail is the
+    /// caller's to count).
+    pub fn idle(&self) -> u64 {
+        self.idle
+    }
+
+    /// Books the stalls a drain would take — each queued completion past
+    /// the clock, on the level that served it — without draining.
+    fn book_pending_stalls(&mut self) {
+        let mut t = self.time;
+        for &e in &self.inflight {
+            let c = e >> LEVEL_BITS;
+            if c > t {
+                self.stall[(e & LEVEL_MASK) as usize] += c - t;
+                t = c;
+            }
+        }
     }
 
     /// Blocks until every in-flight request has completed (phase barrier).
+    /// The waits are not booked; see [`PeArray::book_drain_stalls`].
     pub fn drain(&mut self) {
-        while let Some(c) = self.inflight.pop_front() {
-            if c > self.time {
-                self.time = c;
-            }
+        while let Some(e) = self.inflight.pop_front() {
+            self.wait_until(e >> LEVEL_BITS);
         }
     }
 }
@@ -181,7 +262,7 @@ impl PeArray {
             let g = p / self.pes_per_group;
             let survivor = self
                 .live_in_group(g)
-                .or_else(|| self.earliest_live(0..self.pes.len()));
+                .or_else(|| self.earliest_pe());
             if let Some(s) = survivor {
                 self.requeued += 1;
                 // Re-issue of the abandoned requests plus redone compute;
@@ -196,9 +277,20 @@ impl PeArray {
         }
     }
 
-    /// Earliest live PE among `range`, if any.
+    /// The live PE among `range` with the smallest `(time, index)`, in one
+    /// pass.
     fn earliest_live(&self, range: std::ops::Range<usize>) -> Option<usize> {
-        range.filter(|&p| !self.dead[p]).min_by_key(|&p| self.pes[p].time)
+        let start = range.start;
+        let pes = self.pes[range.clone()].iter().zip(&self.dead[range]);
+        let mut best = None;
+        let mut best_time = u64::MAX;
+        for (i, (pe, &dead)) in pes.enumerate() {
+            if !dead && (pe.time < best_time || best.is_none()) {
+                best = Some(start + i);
+                best_time = pe.time;
+            }
+        }
+        best
     }
 
     /// Earliest live PE within group `g`, if any.
@@ -207,25 +299,23 @@ impl PeArray {
         self.earliest_live(base..base + self.pes_per_group)
     }
 
+    /// Earliest live PE of the whole array, if any. Groups are contiguous
+    /// index ranges, so its group is also the group whose earliest live PE
+    /// is earliest overall (lowest group on ties).
+    fn earliest_pe(&self) -> Option<usize> {
+        self.earliest_live(0..self.pes.len())
+    }
+
     /// The group whose earliest-available live PE is earliest overall —
     /// where a greedy scheduler sends the next work item. `None` when every
     /// PE has failed.
     pub fn try_earliest_group(&mut self) -> Option<usize> {
-        self.reap();
-        (0..self.n_groups())
-            .filter(|&g| self.live_in_group(g).is_some())
-            .min_by_key(|&g| self.group_min_time(g))
+        self.try_dispatch().map(|(g, _)| g)
     }
 
-    /// Infallible [`try_earliest_group`](Self::try_earliest_group) for
-    /// callers that do not inject PE failures.
-    pub fn earliest_group(&mut self) -> usize {
-        self.try_earliest_group().expect("at least one live group")
-    }
-
-    /// Reaps once, then selects the earliest live group *and* its earliest
-    /// live PE from the same post-reap snapshot. `None` only when every PE
-    /// has failed.
+    /// Reaps once, then selects the earliest live PE and its group from the
+    /// same post-reap snapshot: the live PE with the smallest `(time,
+    /// index)`. `None` only when every PE has failed.
     ///
     /// Two-step selection ([`try_earliest_group`](Self::try_earliest_group)
     /// then [`try_earliest_pe_in_group`](Self::try_earliest_pe_in_group)) is
@@ -235,11 +325,8 @@ impl PeArray {
     /// misreporting total failure while most of the array is still alive.
     pub fn try_dispatch(&mut self) -> Option<(usize, usize)> {
         self.reap();
-        let g = (0..self.n_groups())
-            .filter(|&g| self.live_in_group(g).is_some())
-            .min_by_key(|&g| self.group_min_time(g))?;
-        let pe = self.live_in_group(g).expect("selected group has a live PE");
-        Some((g, pe))
+        let pe = self.earliest_pe()?;
+        Some((pe / self.pes_per_group, pe))
     }
 
     /// The earliest-available live PE index within group `g`, or `None` if
@@ -249,32 +336,16 @@ impl PeArray {
         self.live_in_group(g)
     }
 
-    /// Infallible [`try_earliest_pe_in_group`](Self::try_earliest_pe_in_group).
-    pub fn earliest_pe_in_group(&mut self, g: usize) -> usize {
-        self.try_earliest_pe_in_group(g).expect("group has a live PE")
-    }
-
     /// The minimum local time over live PEs in group `g` (`u64::MAX` when
     /// the group has fully failed, so greedy selection skips it).
     pub fn group_min_time(&self, g: usize) -> u64 {
-        let base = g * self.pes_per_group;
-        (base..base + self.pes_per_group)
-            .filter(|&p| !self.dead[p])
-            .map(|p| self.pes[p].time)
-            .min()
-            .unwrap_or(u64::MAX)
+        self.live_in_group(g).map_or(u64::MAX, |p| self.pes[p].time)
     }
 
     /// The minimum local time over all live PEs — the dispatch frontier the
     /// phase watchdog compares against (`u64::MAX` when all have failed).
     pub fn min_live_time(&self) -> u64 {
-        self.pes
-            .iter()
-            .zip(&self.dead)
-            .filter(|(_, &d)| !d)
-            .map(|(p, _)| p.time)
-            .min()
-            .unwrap_or(u64::MAX)
+        self.earliest_pe().map_or(u64::MAX, |p| self.pes[p].time)
     }
 
     /// Mutable access to PE `idx`.
@@ -285,6 +356,18 @@ impl PeArray {
     /// Shared access to PE `idx` (post-phase attribution walks).
     pub fn pe(&self, idx: usize) -> &PeTimeline {
         &self.pes[idx]
+    }
+
+    /// Books, on every PE, the stalls its end-of-phase drain is about to
+    /// take: each queued completion past the PE's clock stalls it on the
+    /// level that served it. Call before [`finish`](Self::finish), whose
+    /// reap may roll a condemned PE back or requeue work onto a survivor:
+    /// the attribution is taken from the queues as the last item left them.
+    /// PEs reaped earlier have empty queues and book nothing.
+    pub fn book_drain_stalls(&mut self) {
+        for pe in &mut self.pes {
+            pe.book_pending_stalls();
+        }
     }
 
     /// Drains all queues and returns the phase makespan (max local time).
@@ -299,8 +382,14 @@ impl PeArray {
     }
 
     /// Number of PEs that did any work.
+    ///
+    /// # Panics
+    ///
+    /// Never in practice: the count is at most [`len`](Self::len), and an
+    /// array of more than `u32::MAX` timelines cannot be allocated.
     pub fn active_count(&self) -> u32 {
-        self.pes.iter().filter(|p| p.busy > 0).count() as u32
+        let n = self.pes.iter().filter(|p| p.busy > 0).count();
+        u32::try_from(n).expect("PE counts fit u32")
     }
 
     /// Total busy cycles over all PEs.
@@ -336,19 +425,39 @@ mod tests {
     #[test]
     fn full_queue_stalls_on_oldest() {
         let mut pe = PeTimeline::new(2);
-        pe.track(100);
-        pe.track(200);
-        // Queue full: next issue must wait for the completion at cycle 100.
+        pe.track(100, AccessOutcome::Hbm);
+        pe.track(200, AccessOutcome::L1Hit);
+        // Queue full: next issue must wait for the completion at cycle 100,
+        // and the wait is a stall on the level that served it.
         assert_eq!(pe.issue(), 101);
-        pe.track(300);
+        assert_eq!(pe.stalls(), [0, 0, 100]);
+        pe.track(300, AccessOutcome::L0Hit);
         assert_eq!(pe.issue(), 201);
+        assert_eq!(pe.stalls(), [0, 99, 100]);
+    }
+
+    #[test]
+    fn drain_stalls_are_booked_before_the_drain() {
+        let mut arr = PeArray::new(1, 1, 8);
+        let pe = arr.pe_mut(0);
+        pe.advance(10);
+        pe.track(40, AccessOutcome::L1Hit);
+        pe.track(30, AccessOutcome::L0Hit);
+        pe.track(90, AccessOutcome::Hbm);
+        pe.idle_until(15);
+        assert_eq!(pe.idle(), 5);
+        arr.book_drain_stalls();
+        // 15 -> 40 on L1, 30 is already past, 40 -> 90 on HBM.
+        assert_eq!(arr.pe(0).stalls(), [0, 25, 50]);
+        assert_eq!(arr.finish(), 90);
+        assert_eq!(arr.pe(0).stalls(), [0, 25, 50], "the drain itself books nothing");
     }
 
     #[test]
     fn drain_reaches_last_completion() {
         let mut pe = PeTimeline::new(8);
-        pe.track(50);
-        pe.track(40);
+        pe.track(50, AccessOutcome::Hbm);
+        pe.track(40, AccessOutcome::L0Hit);
         pe.drain();
         assert_eq!(pe.time, 50);
     }
@@ -370,15 +479,16 @@ mod tests {
         for pe in 0..2 {
             arr.pe_mut(pe).advance(100);
         }
-        assert_eq!(arr.earliest_group(), 1);
-        assert_eq!(arr.earliest_pe_in_group(1), 2);
+        assert_eq!(arr.try_earliest_group(), Some(1));
+        assert_eq!(arr.try_earliest_pe_in_group(1), Some(2));
+        assert_eq!(arr.try_dispatch(), Some((1, 2)));
     }
 
     #[test]
     fn finish_reports_makespan() {
         let mut arr = PeArray::new(2, 2, 4);
         arr.pe_mut(3).advance(77);
-        arr.pe_mut(0).track(99);
+        arr.pe_mut(0).track(99, AccessOutcome::Hbm);
         assert_eq!(arr.finish(), 99);
         assert_eq!(arr.active_count(), 1); // only PE 3 was busy
     }
@@ -389,7 +499,7 @@ mod tests {
         arr.schedule_kill(0, 50);
         // PE 0 runs past its death: 30 cycles of overshoot are lost.
         arr.pe_mut(0).advance(80);
-        arr.pe_mut(0).track(90);
+        arr.pe_mut(0).track(90, AccessOutcome::Hbm);
         let g = arr.try_earliest_group().expect("survivors exist");
         assert_eq!(arr.killed, 1);
         assert_eq!(arr.requeued, 1);
@@ -459,8 +569,8 @@ mod tests {
             arr.pe_mut(pe).advance(100);
         }
         assert_eq!(arr.try_earliest_group(), Some(1));
-        assert_eq!(arr.earliest_group(), 1);
-        assert_eq!(arr.earliest_pe_in_group(1), 2);
+        assert_eq!(arr.try_earliest_pe_in_group(1), Some(2));
+        assert_eq!(arr.try_dispatch(), Some((1, 2)));
         assert_eq!(arr.min_live_time(), 0);
         assert_eq!(arr.live_count(), 4);
     }

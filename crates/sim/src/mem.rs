@@ -7,28 +7,71 @@
 //! paper's trace-driven gem5 models). Latencies are charged per level; MSHR
 //! effects are approximated by the PEs' bounded outstanding-request queues
 //! (`Machine`), which limit memory-level parallelism the same way.
+//!
+//! Each cache is one flat tag array (`sets × ways`, most recently used
+//! first within a set). The block, set, L1 and channel of an address come
+//! from shift and mask when the divisor is a power of two, and from exact
+//! `/` and `%` otherwise (the interval tier's shrunk machines, and any
+//! swept set or L1 count, need not be).
 
 use crate::config::OuterSpaceConfig;
 use crate::faults::{FaultInjector, MemoryFault};
 
-/// Hit/miss classification of one read.
+/// Hit/miss classification of one read. The discriminants (0, 1, 2) index
+/// per-level stall tallies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessOutcome {
     /// Serviced by the first-level (L0) cache or scratchpad.
-    L0Hit,
+    L0Hit = 0,
     /// Missed L0, hit the shared L1 victim cache.
-    L1Hit,
+    L1Hit = 1,
     /// Went all the way to HBM.
-    Hbm,
+    Hbm = 2,
 }
+
+/// `x / d` and `x % d` for a fixed divisor `d`: shift and mask when `d` is
+/// a power of two, exact division otherwise (so a zero divisor panics on
+/// use, as `/` and `%` do).
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    /// `log2(d)` when `d` is a power of two, else `u32::MAX`.
+    shift: u32,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Self {
+        let shift = if d.is_power_of_two() { d.trailing_zeros() } else { u32::MAX };
+        Divisor { d, shift }
+    }
+
+    fn div(self, x: u64) -> u64 {
+        if self.shift != u32::MAX {
+            x >> self.shift
+        } else {
+            x / self.d
+        }
+    }
+
+    fn rem(self, x: u64) -> usize {
+        let r = if self.shift != u32::MAX { x & (self.d - 1) } else { x % self.d };
+        // `r < d`, and every divisor here counts an in-memory collection.
+        r as usize
+    }
+}
+
+/// Tag of an empty cache way. Block addresses are byte addresses divided
+/// by the block size, so no real block reaches it.
+const EMPTY: u64 = u64::MAX;
 
 /// A functional set-associative cache with LRU replacement.
 #[derive(Debug, Clone)]
 pub struct CacheModel {
-    // Per set: resident block addresses, most recently used last.
-    sets: Vec<Vec<u64>>,
+    /// `sets × ways` tags, set after set; within a set the most recently
+    /// used block comes first and empty ways ([`EMPTY`]) trail.
+    tags: Vec<u64>,
     ways: usize,
-    n_sets: u64,
+    sets: Divisor,
 }
 
 impl CacheModel {
@@ -36,47 +79,35 @@ impl CacheModel {
     /// blocks. Degenerate sizes clamp to one set.
     pub fn new(size_bytes: u32, ways: u32, block_bytes: u32) -> Self {
         let blocks = (size_bytes / block_bytes).max(1) as u64;
-        let n_sets = (blocks / ways.max(1) as u64).max(1);
+        let ways = ways.max(1) as usize;
+        let n_sets = (blocks / ways as u64).max(1);
         CacheModel {
-            sets: vec![Vec::with_capacity(ways as usize); n_sets as usize],
-            ways: ways.max(1) as usize,
-            n_sets,
+            tags: vec![EMPTY; n_sets as usize * ways],
+            ways,
+            sets: Divisor::new(n_sets),
         }
     }
 
     /// Looks up `block` (a block-granular address), inserting it on miss.
     /// Returns true on hit.
     pub fn access(&mut self, block: u64) -> bool {
-        let set = &mut self.sets[(block % self.n_sets) as usize];
-        if let Some(pos) = set.iter().position(|&b| b == block) {
-            let b = set.remove(pos);
-            set.push(b);
-            return true;
-        }
-        if set.len() == self.ways {
-            set.remove(0);
-        }
-        set.push(block);
-        false
-    }
-
-    /// Inserts `block` without counting an access (used for victim fills).
-    pub fn fill(&mut self, block: u64) {
-        let set = &mut self.sets[(block % self.n_sets) as usize];
-        if set.contains(&block) {
-            return;
-        }
-        if set.len() == self.ways {
-            set.remove(0);
-        }
-        set.push(block);
+        debug_assert_ne!(block, EMPTY, "block address collides with the empty tag");
+        let base = self.sets.rem(block) * self.ways;
+        let set = &mut self.tags[base..base + self.ways];
+        // A hit moves the block to the front; a miss shifts every way back
+        // one, dropping the least recently used block (or an empty way).
+        let (hit, end) = match set.iter().position(|&b| b == block) {
+            Some(pos) => (true, pos),
+            None => (false, self.ways - 1),
+        };
+        set.copy_within(0..end, 1);
+        set[0] = block;
+        hit
     }
 
     /// Empties the cache (phase transitions reconfigure and flush, §5.4).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.tags.fill(EMPTY);
     }
 }
 
@@ -217,12 +248,17 @@ pub struct MemorySystem {
     /// Counters for the current phase.
     pub counters: MemCounters,
     block_bytes: u64,
+    /// Byte address → block address.
+    block: Divisor,
+    /// Block address → L1 slice.
+    l1_of: Divisor,
+    /// Block address → HBM pseudo-channel.
+    chan_of: Divisor,
     hbm_cycles_per_block: u64,
     hbm_latency: u64,
     l0_hit_cycles: u64,
     l1_hit_cycles: u64,
     xbar_cycles: u64,
-    n_l1: u64,
     /// Fault source for transient HBM faults; `None` keeps the read path
     /// byte-for-byte identical to the fault-free model.
     injector: Option<FaultInjector>,
@@ -256,12 +292,14 @@ impl MemorySystem {
             chan: vec![Channel::default(); cfg.hbm_channels as usize],
             counters: MemCounters::default(),
             block_bytes: cfg.block_bytes as u64,
+            block: Divisor::new(cfg.block_bytes as u64),
+            l1_of: Divisor::new(cfg.n_l1 as u64),
+            chan_of: Divisor::new(cfg.hbm_channels as u64),
             hbm_cycles_per_block: cfg.hbm_cycles_per_block().round() as u64,
             hbm_latency: cfg.hbm_latency_cycles().round() as u64,
             l0_hit_cycles: cfg.l0_hit_cycles,
             l1_hit_cycles: cfg.l1_hit_cycles,
             xbar_cycles: cfg.xbar_cycles,
-            n_l1: cfg.n_l1 as u64,
             injector: FaultInjector::for_memory(&cfg.faults, cfg.block_bytes),
             read_index: 0,
             failure: None,
@@ -275,7 +313,7 @@ impl MemorySystem {
 
     /// Block address containing byte address `addr`.
     pub fn block_of(&self, addr: u64) -> u64 {
-        addr / self.block_bytes
+        self.block.div(addr)
     }
 
     /// Reads the block containing `addr` from L0 domain `l0_idx` at cycle
@@ -289,25 +327,24 @@ impl MemorySystem {
         MemCounters::accumulate(&mut self.counters.l0_misses, 1);
         // L1 selection: blocks are interleaved over the L1s by address, the
         // same striping the crossbar implements.
-        let l1_idx = (block % self.n_l1) as usize;
-        if self.l1[l1_idx].access(block) {
+        if self.l1[self.l1_of.rem(block)].access(block) {
             MemCounters::accumulate(&mut self.counters.l1_hits, 1);
             return (now + self.l0_hit_cycles + self.l1_hit_cycles, AccessOutcome::L1Hit);
         }
         MemCounters::accumulate(&mut self.counters.l1_misses, 1);
         MemCounters::accumulate(&mut self.counters.hbm_read_bytes, self.block_bytes);
         let arrival = now + self.l0_hit_cycles + self.l1_hit_cycles + self.xbar_cycles;
-        let ch = (block % self.chan.len() as u64) as usize;
-        let mut done = self.chan[ch].book(arrival, self.hbm_cycles_per_block);
-        if let Some(inj) = self.injector.clone() {
-            done = self.inject_read_faults(&inj, ch, addr, done);
-        }
+        let ch = self.chan_of.rem(block);
+        let done = self.chan[ch].book(arrival, self.hbm_cycles_per_block);
+        let done = self.inject_read_faults(ch, addr, done);
         (done + self.hbm_latency, AccessOutcome::Hbm)
     }
 
     /// Applies transient-fault recovery to an HBM read completing at `done`;
-    /// returns the (possibly delayed) delivery cycle.
-    fn inject_read_faults(&mut self, inj: &FaultInjector, ch: usize, addr: u64, done: u64) -> u64 {
+    /// returns the (possibly delayed) delivery cycle. Without an injector
+    /// the read is untouched.
+    fn inject_read_faults(&mut self, ch: usize, addr: u64, done: u64) -> u64 {
+        let Some(inj) = &self.injector else { return done };
         let idx = self.read_index;
         self.read_index += 1;
         let base = done;
@@ -350,22 +387,6 @@ impl MemorySystem {
         self.failure
     }
 
-    /// Reads `bytes` of *streaming* data starting at `addr` (touches every
-    /// block in the range). Returns the cycle when the last block arrives.
-    pub fn read_stream(&mut self, l0_idx: usize, addr: u64, bytes: u64, now: u64) -> u64 {
-        if bytes == 0 {
-            return now;
-        }
-        let first = self.block_of(addr);
-        let last = self.block_of(addr + bytes - 1);
-        let mut done = now;
-        for b in first..=last {
-            let (t, _) = self.read(l0_idx, b * self.block_bytes, now);
-            done = done.max(t);
-        }
-        done
-    }
-
     /// Writes `bytes` starting at `addr` with the multiply phase's
     /// write-no-allocate policy (§5.4.1): the stores bypass the caches and
     /// occupy HBM channel bandwidth, but the PE does not wait for them
@@ -378,8 +399,7 @@ impl MemorySystem {
         let last = self.block_of(addr + bytes - 1);
         for b in first..=last {
             MemCounters::accumulate(&mut self.counters.hbm_write_bytes, self.block_bytes);
-            let ch = (b % self.chan.len() as u64) as usize;
-            let _ = self.chan[ch].book(now, self.hbm_cycles_per_block);
+            let _ = self.chan[self.chan_of.rem(b)].book(now, self.hbm_cycles_per_block);
         }
     }
 
@@ -485,13 +505,48 @@ mod tests {
     #[test]
     fn stream_reads_touch_every_block() {
         let mut m = MemorySystem::for_multiply(&cfg());
-        m.read_stream(0, 0, 64 * 10, 0);
+        for b in 0..10 {
+            m.read(0, b * 64, 0);
+        }
         assert_eq!(m.counters.hbm_read_bytes, 64 * 10);
-        // Re-reading the same range hits in L0 (fits in 16 kB).
+        // Re-reading the same blocks hits in L0 (fits in 16 kB).
         let c0 = m.counters;
-        m.read_stream(0, 0, 64 * 10, 1000);
+        for b in 0..10 {
+            m.read(0, b * 64 + 8, 1000);
+        }
         assert_eq!(m.counters.hbm_read_bytes, c0.hbm_read_bytes);
         assert_eq!(m.counters.l0_hits, 10);
+    }
+
+    #[test]
+    fn divisors_match_exact_division() {
+        for d in [1u64, 2, 3, 8, 12, 64, 100] {
+            let div = Divisor::new(d);
+            for x in [0u64, 1, 7, 63, 64, 65, 1000, u64::MAX - 1, u64::MAX] {
+                assert_eq!(div.div(x), x / d, "{x} / {d}");
+                assert_eq!(div.rem(x) as u64, x % d, "{x} % {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_power_of_two_channels_and_l1s_interleave_by_exact_modulo() {
+        // The interval tier shrinks machines to channel counts that need
+        // not be powers of two; blocks still stripe as `block % count`.
+        let c = OuterSpaceConfig { hbm_channels: 12, n_l1: 3, ..cfg() };
+        let mut m = MemorySystem::for_multiply(&c);
+        for b in [0u64, 5, 13, 25, 36] {
+            let (_, level) = m.read(0, b * 64, 0);
+            assert_eq!(level, AccessOutcome::Hbm);
+        }
+        let busy = m.channel_busy();
+        assert_eq!(busy.len(), 12);
+        // Blocks 0, 13, 25, 36 land on channels 0, 1, 1, 0; block 5 on 5.
+        assert_eq!(busy[0], 2 * 12);
+        assert_eq!(busy[1], 2 * 12);
+        assert_eq!(busy[5], 12);
+        // Tile 1 misses its own L0 and finds block 13 in L1 slice 13 % 3.
+        assert_eq!(m.read(1, 13 * 64, 100).1, AccessOutcome::L1Hit);
     }
 
     #[test]
@@ -569,7 +624,9 @@ mod tests {
     fn channel_busy_tracks_booked_service() {
         let mut m = MemorySystem::for_multiply(&cfg());
         // 10 blocks on consecutive channels: 12 service cycles each.
-        m.read_stream(0, 0, 64 * 10, 0);
+        for b in 0..10 {
+            m.read(0, b * 64, 0);
+        }
         let busy = m.channel_busy();
         assert_eq!(busy.len(), 16);
         assert_eq!(busy.iter().filter(|&&b| b == 12).count(), 10);
@@ -581,9 +638,9 @@ mod tests {
     #[test]
     fn zero_byte_stream_is_noop() {
         let mut m = MemorySystem::for_multiply(&cfg());
-        assert_eq!(m.read_stream(0, 64, 0, 7), 7);
         m.write_stream(64, 0, 7);
         assert_eq!(m.counters.hbm_write_bytes, 0);
+        assert_eq!(m.quiesce_cycle(), 0);
     }
 
     fn faulty_cfg(ber: f64, drop: f64) -> OuterSpaceConfig {

@@ -89,7 +89,7 @@ pub fn row_merge_infos(
     assert_eq!(c.nrows(), layout.nrows(), "result rows must align with the layout");
     (0..layout.nrows())
         .map(|i| {
-            let produced: u64 = layout.row(i).iter().map(|ch| u64::from(ch.len)).sum();
+            let produced: u64 = layout.row(i).iter().map(|ch| ch.len).sum();
             RowMergeInfo::checked(i, produced, c.row_nnz(i) as u64, c.ncols())
         })
         .collect()
@@ -116,12 +116,12 @@ pub(crate) struct MergePassItem {
 /// memory").
 fn merge_pass_script(item: &MergePassItem, ctx: &mut PeCtx<'_>) {
     let t0 = ctx.time();
-    let total_elems: u64 = item.chunks.iter().map(|c| c.len as u64).sum();
+    let total_elems: u64 = item.chunks.iter().map(|c| c.len).sum();
     for c in &item.chunks {
         if c.len == 0 {
             continue;
         }
-        ctx.read_stream(c.addr, c.len as u64 * ELEM_BYTES);
+        ctx.read_stream(c.addr, c.len * ELEM_BYTES);
     }
     let insert_cost = (u64::BITS - (item.chunks.len() as u64).leading_zeros()) as u64;
     ctx.wait_busy_until(t0 + total_elems * insert_cost.max(1));
@@ -166,7 +166,9 @@ impl<'a> MergeKernel<'a> {
             layout,
             rows,
             head_cap: cfg.merge_head_capacity().max(2),
-            n_workers: n_workers as u32,
+            // The worker count is `n_tiles × merge_pairs_per_tile`, and the
+            // caller allocated one timeline per worker: far below u32::MAX.
+            n_workers: u32::try_from(n_workers).expect("merge worker counts fit u32"),
             row: 0,
             in_row: false,
             current: Vec::new(),
@@ -226,13 +228,13 @@ impl PhaseKernel for MergeKernel<'_> {
             let mut items = Vec::with_capacity(n_groups);
             let mut next_refs = Vec::with_capacity(n_groups);
             for group in self.current.chunks(self.head_cap) {
-                let total: u64 = group.iter().map(|c| c.len as u64).sum();
+                let total: u64 = group.iter().map(|c| c.len).sum();
                 items.push(MergePassItem {
                     chunks: group.to_vec(),
                     out_addr: self.scratch_bump,
                     out_elems: total,
                 });
-                next_refs.push(ChunkRef { addr: self.scratch_bump, len: total as u32 });
+                next_refs.push(ChunkRef { addr: self.scratch_bump, len: total });
                 self.scratch_bump += total * ELEM_BYTES;
             }
             self.current = next_refs;
@@ -328,7 +330,7 @@ mod tests {
     fn row_infos_split_produced_elements_into_output_and_collisions() {
         let (layout, rows) = setup(64, 800, 4);
         for (i, info) in rows.iter().enumerate() {
-            let produced: u64 = layout.row(i as u32).iter().map(|ch| u64::from(ch.len)).sum();
+            let produced: u64 = layout.row(i as u32).iter().map(|ch| ch.len).sum();
             assert_eq!(u64::from(info.out_len) + u64::from(info.collisions), produced);
         }
     }
@@ -344,6 +346,36 @@ mod tests {
         let err = row_merge_infos(&layout, &c).unwrap_err();
         let want = SimError::MergeCountOverflow { row: 1, collisions: u64::from(u32::MAX) + 2 };
         assert_eq!(err, want);
+    }
+
+    #[test]
+    fn submerge_runs_longer_than_u32_keep_their_length() {
+        // One row with more chunks than the scratchpad holds heads for, so
+        // the kernel emits a sub-merge pass whose first group totals more
+        // than u32::MAX elements. The layout stores only chunk references,
+        // so no element memory is needed.
+        let cfg = OuterSpaceConfig::default();
+        let head_cap = cfg.merge_head_capacity();
+        let mut layout = IntermediateLayout::new(1);
+        layout.alloc_chunk(0, u32::MAX);
+        layout.alloc_chunk(0, u32::MAX);
+        for _ in 2..=head_cap {
+            layout.alloc_chunk(0, 1);
+        }
+        let group_total = 2 * u64::from(u32::MAX) + (head_cap as u64 - 2);
+        let rows = [RowMergeInfo { out_len: 4, collisions: 0 }];
+        let mut kernel = MergeKernel::new(&cfg, &layout, &rows, 1);
+        let Step::Batch(pass) = kernel.next(&Feedback::default()) else {
+            panic!("a row of {} chunks needs a sub-merge pass", head_cap + 1);
+        };
+        assert_eq!(pass.items.len(), 2);
+        assert_eq!(pass.items[0].out_elems, group_total);
+        let Step::Batch(last) = kernel.next(&Feedback { batch_done: 100 }) else {
+            panic!("the final pass follows the sub-merge");
+        };
+        assert_eq!(last.min_start, 100);
+        let run_lens: Vec<u128> = last.items[0].chunks.iter().map(|c| u128::from(c.len)).collect();
+        assert_eq!(run_lens, [u128::from(group_total), 1], "the sub-merge run must not wrap");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::engine::{self, Batch, CycleBreakdown, Dispatch, Feedback, PeCtx, Phas
 use crate::error::SimError;
 use crate::layout::{A_PTR_BASE, B_BASE, ELEM_BYTES, INTER_BASE, OUT_BASE, SCRATCH_BASE};
 use crate::machine::PeArray;
-use crate::mem::MemorySystem;
+use crate::mem::{L0Mode, MemorySystem};
 use crate::stats::PhaseStats;
 
 const MULTIPLY_PHASE: &str = "sparch_multiply";
@@ -334,8 +334,9 @@ pub fn simulate_merge_tree(
     cfg: &OuterSpaceConfig,
     plan: &SparchPlan,
 ) -> Result<(PhaseStats, CycleBreakdown), SimError> {
-    let mut mem = MemorySystem::for_merge(cfg);
-    // The comparator array is one dispatchable unit.
+    // The comparator array is one dispatchable unit, so it reads through
+    // one merge-mode L0 domain; the other domains would never be touched.
+    let mut mem = MemorySystem::with_mode(cfg, L0Mode { domains: 1, ..L0Mode::merge(cfg) });
     let mut pes = PeArray::new(1, 1, cfg.outstanding_requests as usize);
     let kernel = MergeTreeKernel::new(cfg, plan);
     engine::run_kernel(cfg, &mut mem, &mut pes, kernel)
