@@ -141,10 +141,10 @@ echo "==> dse interval economics gate (>= 4x points/cpu-hour at <= 5% median cyc
 # The headline acceptance gate, on the bundled OuterSPACE-vs-SpArch space:
 # the interval tier must evaluate >= 4x more points per CPU-hour than the
 # full tier while its validated median |cycle error| stays <= 5%. The full
-# tier runs the arena + blocked functional product and the structural
-# SpArch plan, so the ratio measures 4.7-9.3x (median 5.7x, 27 runs) on a
-# 2-vCPU VM; the floor sits below the lowest run by more than the
-# interquartile spread of the runs.
+# tier runs the row-wise functional product and the structural SpArch
+# plan, so the ratio measures 6.0-13.5x (median 9.4x, quartiles 8.2-10.7x,
+# 30 runs) on a 2-vCPU VM. Every run clears the floor; the lowest by 2.0x,
+# which is less than the runs' 2.5x interquartile spread.
 ./target/release/dse --space sparch_vs_ospace --tier interval --validate 2 \
     --min-speedup 4 --max-median-err 0.05 --min-within-bars 0.8 \
     --out "$DSE_OUT/economics"

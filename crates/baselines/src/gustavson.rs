@@ -17,6 +17,14 @@ use crate::TrafficStats;
 
 /// Sequential Gustavson SpGEMM with a dense accumulator.
 ///
+/// Summation order, which the simulator's functional product relies on:
+/// each output entry's first product is assigned (not added to `0.0`), the
+/// later ones are added in ascending `k`, and sums that cancel exactly stay
+/// as entries. That is the order in which the outer-product merge (§4.2)
+/// adds a `c_ij`'s partial products, so the result is bit-identical to the
+/// outer-product pipeline's, signed zeros and infinities included. The
+/// output arrays are sized exactly, with no growth slack.
+///
 /// # Errors
 ///
 /// Returns [`SparseError::ShapeMismatch`] if `a.ncols() != b.nrows()`.
@@ -41,7 +49,8 @@ pub fn spgemm(a: &Csr, b: &Csr) -> Result<(Csr, TrafficStats), SparseError> {
     let mut acc = vec![0.0 as Value; b.ncols() as usize];
     let mut flags = vec![false; b.ncols() as usize];
     let mut touched: Vec<Index> = Vec::new();
-    let mut row_ptr = vec![0usize];
+    let mut row_ptr = Vec::with_capacity(a.nrows() as usize + 1);
+    row_ptr.push(0usize);
     let mut cols = Vec::new();
     let mut vals = Vec::new();
     for i in 0..a.nrows() {
@@ -50,6 +59,8 @@ pub fn spgemm(a: &Csr, b: &Csr) -> Result<(Csr, TrafficStats), SparseError> {
         );
         row_ptr.push(cols.len());
     }
+    cols.shrink_to_fit();
+    vals.shrink_to_fit();
     stats.bytes_written += 12 * cols.len() as u64;
     Ok((Csr::from_raw_parts_unchecked(a.nrows(), b.ncols(), row_ptr, cols, vals), stats))
 }
@@ -340,6 +351,19 @@ mod tests {
         let (c, _) = spgemm_two_phase(&a, &a).unwrap();
         let want = outerspace_sparse::ops::spgemm_reference(&a, &a).unwrap();
         assert!(c.approx_eq(&want, 1e-12));
+    }
+
+    #[test]
+    fn first_product_is_assigned_and_cancelled_sums_stay() {
+        // c_00 = 1·(−0): assigned, so it keeps the sign `0.0 + −0.0` drops.
+        // c_01 = 1·1 + 1·(−1): cancels exactly and stays an entry.
+        let a = Csr::new(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]).unwrap();
+        let b = Csr::new(2, 2, vec![0, 2, 3], vec![0, 1, 1], vec![-0.0, 1.0, -1.0]).unwrap();
+        let (c, _) = spgemm(&a, &b).unwrap();
+        assert_eq!(c.row_ptr(), &[0, 2]);
+        assert_eq!(c.col_indices(), &[0, 1]);
+        let bits: Vec<u64> = c.values().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, [(-0.0f64).to_bits(), 0.0f64.to_bits()]);
     }
 
     #[test]

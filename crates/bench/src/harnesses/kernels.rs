@@ -239,6 +239,7 @@ fn build_cells(opts: &HarnessOpts) -> Vec<CellSpec> {
                 std::hint::black_box(spgemm_parallel(&aa, &bb, THREADS).expect("square"));
             }),
         ));
+        // The simulator's functional product (both machine models).
         let (aa, bb) = (a.clone(), b.clone());
         cells.push(spec(
             "spgemm_gustavson",

@@ -7,8 +7,12 @@
 //! *conversion-merge* phase combines each column's pieces in row order. For
 //! chained multiplications (`A × B × C…`) the cost is paid once, and for
 //! symmetric matrices it is skipped entirely since CR and CC coincide.
+//!
+//! The software path here is a plain transpose; it reports the traffic the
+//! two hardware phases would move, and `sim::phases::convert` models their
+//! timing.
 
-use outerspace_sparse::{Csc, Csr, Index, Value};
+use outerspace_sparse::{Csc, Csr};
 
 /// Counters captured during a format conversion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -23,53 +27,28 @@ pub struct ConversionStats {
     pub skipped_symmetric: bool,
 }
 
-/// Converts a CR (CSR) matrix to CC (CSC) with the two-phase scheme of §4.3,
-/// returning the converted matrix and the traffic counters.
+/// Converts a CR (CSR) matrix to CC (CSC), returning the converted matrix
+/// and the traffic counters of the §4.3 two-phase scheme.
 ///
-/// Symmetric matrices are detected and returned by relabelling (CR ≡ CC for
-/// them), which is how the evaluation avoids charging conversion to the many
-/// symmetric SuiteSparse inputs.
+/// Symmetric matrices are detected by comparing `A` with its transpose and
+/// are not charged (CR ≡ CC for them), which is how the evaluation avoids
+/// charging conversion to the many symmetric SuiteSparse inputs. The check
+/// uses `==`, which treats `0.0` and `-0.0` as equal, so the operand
+/// returned is always the transpose itself: a relabelled `A` would swap the
+/// signs of mirrored zeros.
 pub fn csr_to_csc_via_outer(a: &Csr) -> (Csc, ConversionStats) {
-    if a.nrows() == a.ncols() && a.is_symmetric() {
-        let stats = ConversionStats { skipped_symmetric: true, ..Default::default() };
-        return (a.clone().into_csc_transposed(), stats);
-    }
-    let mut stats = ConversionStats {
-        entries: a.nnz() as u64,
-        bytes_read: 12 * a.nnz() as u64,
-        bytes_written: 24 * a.nnz() as u64,
-        skipped_symmetric: false,
+    let at = a.transpose();
+    let stats = if at == *a {
+        ConversionStats { skipped_symmetric: true, ..Default::default() }
+    } else {
+        ConversionStats {
+            entries: a.nnz() as u64,
+            bytes_read: 12 * a.nnz() as u64,
+            bytes_written: 24 * a.nnz() as u64,
+            skipped_symmetric: false,
+        }
     };
-
-    // Conversion-load: stream rows of A, scattering (row, value) pairs into
-    // per-column lists — one linked-list append per entry, exactly the
-    // multiply phase's write pattern with I as the left operand.
-    let n = a.ncols() as usize;
-    let mut col_lists: Vec<Vec<(Index, Value)>> = vec![Vec::new(); n];
-    for r in 0..a.nrows() {
-        let (cols, vals) = a.row(r);
-        for (&c, &v) in cols.iter().zip(vals) {
-            col_lists[c as usize].push((r, v));
-        }
-    }
-
-    // Conversion-merge: combine each column's pieces in row order. Rows were
-    // streamed in increasing order, so the lists are pre-sorted; the merge
-    // degenerates to a gather (the hardware still walks the lists).
-    let mut col_ptr = Vec::with_capacity(n + 1);
-    col_ptr.push(0usize);
-    let mut rows: Vec<Index> = Vec::with_capacity(a.nnz());
-    let mut vals: Vec<Value> = Vec::with_capacity(a.nnz());
-    for list in &col_lists {
-        debug_assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
-        for &(r, v) in list {
-            rows.push(r);
-            vals.push(v);
-        }
-        col_ptr.push(rows.len());
-    }
-    stats.entries = a.nnz() as u64;
-    (Csc::from_raw_parts_unchecked(a.nrows(), a.ncols(), col_ptr, rows, vals), stats)
+    (at.into_csc_transposed(), stats)
 }
 
 #[cfg(test)]
@@ -98,6 +77,16 @@ mod tests {
         assert!(stats.skipped_symmetric);
         assert_eq!(stats.bytes_read, 0);
         assert_eq!(cc, a.to_csc());
+    }
+
+    #[test]
+    fn symmetric_skip_keeps_the_column_major_value_bits() {
+        // Symmetric under `==`, but the mirrored zeros differ in sign.
+        let a = Csr::new(2, 2, vec![0, 1, 2], vec![1, 0], vec![0.0, -0.0]).unwrap();
+        let (cc, stats) = csr_to_csc_via_outer(&a);
+        assert!(stats.skipped_symmetric);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(cc.values()), bits(a.to_csc().values()));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Transaction-level timing simulator of the OuterSPACE accelerator.
 //!
 //! This crate reproduces the simulation methodology of the OuterSPACE paper
-//! (§6): the real outer-product algorithm executes functionally (via
-//! [`outerspace_outer`]) while its memory-access stream drives timing models
-//! of the paper's hardware — 16 tiles × 16 PEs with 64-entry
+//! (§6): the outer-product algorithm's memory-access stream drives timing
+//! models of the paper's hardware — 16 tiles × 16 PEs with 64-entry
 //! outstanding-request queues, per-tile reconfigurable L0 caches (shared in
 //! the multiply phase, private cache + scratchpad pairs in the merge phase),
-//! four L1 victim caches, crossbars and a 16-pseudo-channel HBM (Table 2).
-//! Start-up and scheduling delays are ignored, matching the paper.
+//! four L1 victim caches, crossbars and a 16-pseudo-channel HBM (Table 2) —
+//! and the functional result is the outer-product pipeline's, bit for bit
+//! (see [`model`]). Start-up and scheduling delays are ignored, matching the
+//! paper.
 //!
 //! The top-level entry point is [`Simulator`]:
 //!

@@ -21,14 +21,17 @@
 //! [`SimReport`](crate::SimReport)s, energy estimates, and utilization
 //! plots without knowing which machine ran.
 //!
-//! Both machines take the functional result from the software fast path:
-//! [`outer::multiply`] into the arena intermediate, then [`outer::merge`]
-//! with the cache-blocked merge, which is bit-identical to the paper's
-//! streaming merge over the same chunks. The timing models read only
-//! shapes from it: per-row output lengths for the OuterSPACE merge,
-//! `nnz(C)` for the SpArch plan, which is otherwise built from the
-//! operands' structure ([`outer::sparch_structural_plan`]).
+//! Both machines take the functional result from the row-wise Gustavson
+//! kernel ([`gustavson::spgemm`]) on the CR operands. The paper's merge
+//! (§4.2, §5.4.2) adds each `c_ij`'s partial products in ascending `k`,
+//! which is the order a row-wise accumulator visits them, so `C` is
+//! bit-identical to the outer-product pipeline's ([`outer::spgemm`])
+//! without building its intermediate. The timing models read only shapes
+//! from it: per-row output lengths for the OuterSPACE merge, `nnz(C)` for
+//! the SpArch plan, which is otherwise built from the operands' structure
+//! ([`outer::sparch_structural_plan`]).
 
+use outerspace_baselines::gustavson;
 use outerspace_outer as outer;
 use outerspace_sparse::{Csc, Csr};
 
@@ -91,11 +94,11 @@ pub trait MachineModel: std::fmt::Debug + Sync {
     ) -> Result<SpgemmPipeline, SimError>;
 }
 
-/// The functional product both machines return: arena multiply plus
-/// cache-blocked merge, summing collisions in `k` order.
-fn functional_product(a_cc: &Csc, b: &Csr) -> Result<Csr, SimError> {
-    let (products, _) = outer::multiply(a_cc, b)?;
-    Ok(outer::merge(&products, outer::MergeKind::Blocked).0)
+/// The functional product both machines return: row-wise Gustavson, which
+/// sums each entry's products in ascending `k` like the paper's merge, so
+/// the bits equal [`outer::spgemm`]'s.
+fn functional_product(a: &Csr, b: &Csr) -> Result<Csr, SimError> {
+    Ok(gustavson::spgemm(a, b)?.0)
 }
 
 /// The OuterSPACE pipeline (§4–§5 of the paper).
@@ -103,14 +106,18 @@ fn functional_product(a_cc: &Csc, b: &Csr) -> Result<Csr, SimError> {
 pub struct OuterSpaceModel;
 
 impl OuterSpaceModel {
+    /// Runs the pipeline on `a`, given in both row form (`a`, for the
+    /// functional product) and column form (`a_cc`, for the multiply
+    /// engine).
     fn run(
         &self,
         cfg: &OuterSpaceConfig,
+        a: &Csr,
         a_cc: &Csc,
         b: &Csr,
         convert: Option<PhaseStats>,
     ) -> Result<SpgemmPipeline, SimError> {
-        let c = functional_product(a_cc, b)?;
+        let c = functional_product(a, b)?;
         let (multiply, intermediate, multiply_breakdown) =
             multiply::simulate_multiply_with_breakdown(cfg, a_cc, b)?;
         let rows = merge::row_merge_infos(&intermediate, &c)?;
@@ -139,7 +146,7 @@ impl MachineModel for OuterSpaceModel {
         } else {
             Some(convert::simulate_convert(cfg, a)?)
         };
-        self.run(cfg, &a_cc, b, convert_stats)
+        self.run(cfg, a, &a_cc, b, convert_stats)
     }
 
     fn spgemm_preconverted(
@@ -148,7 +155,7 @@ impl MachineModel for OuterSpaceModel {
         a_cc: &Csc,
         b: &Csr,
     ) -> Result<SpgemmPipeline, SimError> {
-        self.run(cfg, a_cc, b, None)
+        self.run(cfg, &a_cc.to_csr(), a_cc, b, None)
     }
 }
 
@@ -158,16 +165,8 @@ impl MachineModel for OuterSpaceModel {
 pub struct SpArchModel;
 
 impl SpArchModel {
-    /// Runs the pipeline on `a`, given in both row (`a`) and column
-    /// (`a_cc`) form.
-    fn run(
-        &self,
-        cfg: &OuterSpaceConfig,
-        a: &Csr,
-        a_cc: &Csc,
-        b: &Csr,
-    ) -> Result<SpgemmPipeline, SimError> {
-        let c = functional_product(a_cc, b)?;
+    fn run(&self, cfg: &OuterSpaceConfig, a: &Csr, b: &Csr) -> Result<SpgemmPipeline, SimError> {
+        let c = functional_product(a, b)?;
         // The dataflow plan the timing model replays: leaf stream sizes
         // plus the Huffman merge schedule.
         let plan = outer::sparch_structural_plan(
@@ -202,7 +201,7 @@ impl MachineModel for SpArchModel {
         a: &Csr,
         b: &Csr,
     ) -> Result<SpgemmPipeline, SimError> {
-        self.run(cfg, a, &a.to_csc(), b)
+        self.run(cfg, a, b)
     }
 
     fn spgemm_preconverted(
@@ -213,7 +212,7 @@ impl MachineModel for SpArchModel {
     ) -> Result<SpgemmPipeline, SimError> {
         // SpArch condenses CSR directly; a CC operand is simply handed back
         // in row form (no phase is charged either way).
-        self.run(cfg, &a_cc.to_csr(), a_cc, b)
+        self.run(cfg, &a_cc.to_csr(), b)
     }
 }
 
@@ -231,7 +230,7 @@ pub fn for_kind(kind: MachineKind) -> &'static dyn MachineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use outerspace_gen::{rmat, uniform};
+    use outerspace_gen::{banded, powerlaw, rmat, uniform};
     use outerspace_sparse::ops;
 
     #[test]
@@ -250,14 +249,57 @@ mod tests {
         }
     }
 
+    /// `c`'s structure and value bits: unlike `Csr`'s `==`, this tells
+    /// `0.0` from `-0.0` and compares NaNs.
+    fn bits(c: &Csr) -> (&[usize], &[u32], Vec<u64>) {
+        (c.row_ptr(), c.col_indices(), c.values().iter().map(|v| v.to_bits()).collect())
+    }
+
     #[test]
     fn outerspace_product_is_bitwise_the_paper_pipeline() {
-        let sim = crate::Simulator::new(OuterSpaceConfig::default()).unwrap();
-        for seed in [37, 38] {
-            let a = uniform::matrix(96, 80, 700, seed);
-            let b = uniform::matrix(80, 72, 600, seed + 100);
-            let (c, _) = sim.spgemm(&a, &b).unwrap();
-            assert_eq!(c, outer::spgemm(&a, &b).unwrap(), "seed {seed}");
+        // Products cancel exactly in c_00 (3 − 3) and add a −0.0 to c_10.
+        let cancel_a = Csr::new(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![1.0, 1.0, 0.5, 0.0])
+            .unwrap();
+        let cancel_b = Csr::new(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![3.0, 2.0, -3.0, 4.0])
+            .unwrap();
+        // Symmetric under `==`, yet A·A is −0.0 on the diagonal.
+        let signed_zero = Csr::new(2, 2, vec![0, 1, 2], vec![1, 0], vec![0.0, -0.0]).unwrap();
+        let mut infinite = uniform::matrix(64, 64, 500, 47);
+        for (i, v) in infinite.values_mut().iter_mut().enumerate() {
+            match i % 11 {
+                0 => *v = f64::INFINITY,
+                5 => *v = f64::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        // Output columns span three MERGE_BLOCK_COLS blocks.
+        let wide_cols = 2 * outer::MERGE_BLOCK_COLS as u32 + 808;
+        let cases = [
+            ("rmat", rmat::graph500(128, 1500, 41), None),
+            ("powerlaw", powerlaw::graph(128, 1200, 43), None),
+            ("banded", banded::matrix(96, &[-5, -1, 0, 2, 9], 0.8, 44), None),
+            ("rect", uniform::matrix(96, 80, 700, 37), Some(uniform::matrix(80, 72, 600, 137))),
+            (
+                "wide",
+                uniform::matrix(40, 64, 400, 45),
+                Some(uniform::matrix(64, wide_cols, 1500, 46)),
+            ),
+            ("cancel", cancel_a, Some(cancel_b)),
+            ("signed_zero", signed_zero, None),
+            ("infinite", infinite, None),
+        ];
+        for (name, a, b) in &cases {
+            let b = b.as_ref().unwrap_or(a);
+            let want = outer::spgemm(a, b).unwrap();
+            for machine in [MachineKind::OuterSpace, MachineKind::SpArch] {
+                let sim =
+                    crate::Simulator::new(OuterSpaceConfig { machine, ..Default::default() })
+                        .unwrap();
+                let (c, _) = sim.spgemm(a, b).unwrap();
+                assert_eq!(bits(&c), bits(&want), "{name} {machine} spgemm");
+                let (c, _) = sim.spgemm_cc_operand(&a.to_csc(), b).unwrap();
+                assert_eq!(bits(&c), bits(&want), "{name} {machine} spgemm_cc_operand");
+            }
         }
     }
 

@@ -5,6 +5,7 @@
 
 use std::time::Instant;
 
+use outerspace_baselines::gustavson;
 use outerspace_gen::{powerlaw, rmat, uniform};
 use outerspace_outer as outer;
 use outerspace_sim::interval::{estimate_spgemm, IntervalOpts, NoAbortProbe};
@@ -33,11 +34,7 @@ fn profile_interval_components() {
             let cfg = OuterSpaceConfig { machine, ..OuterSpaceConfig::default() };
             // The functional product both models run, and the structural
             // SpArch plan built from it.
-            let (c, func_ms) = time(|| {
-                let (a_cc, _) = outer::csr_to_csc_via_outer(a);
-                let (products, _) = outer::multiply(&a_cc, a).unwrap();
-                outer::merge(&products, outer::MergeKind::Blocked).0
-            });
+            let (c, func_ms) = time(|| gustavson::spgemm(a, a).unwrap().0);
             let ways = cfg.merge_tree_ways as usize;
             let (_, sparch_plan_ms) = time(|| {
                 outer::sparch_structural_plan(a, a, ways, c.nnz() as u64).unwrap()
