@@ -3,10 +3,13 @@
 //! A point's identity is the hash of everything that determines its metrics:
 //! a code-version salt (bumped whenever the timing/energy models change
 //! semantically), the canonical compact JSON of the fully-applied
-//! [`OuterSpaceConfig`](outerspace_sim::OuterSpaceConfig), the workload
+//! [`OuterSpaceConfig`](outerspace_sim::OuterSpaceConfig) with every field
+//! the point's machine never reads reset to the default
+//! ([`knobs::read_canonical`](crate::knobs::read_canonical)), the workload
 //! manifest (generator kind, shape, and seed), and the allocation-α, if any.
 //! Re-running a sweep therefore only simulates points whose inputs actually
-//! changed; everything else is served from disk.
+//! changed, and points that differ only in knobs their machine ignores
+//! share one entry; everything else is served from disk.
 //!
 //! Storage is one append-only JSON-lines file (`sim_cache.jsonl`) written
 //! through [`outerspace_json::dump::append_jsonl`] — each completed point
@@ -14,22 +17,25 @@
 //! written, and [`read_jsonl`](outerspace_json::dump::read_jsonl)'s
 //! torn-tail tolerance recovers the rest on the next run. Every line stores
 //! its full key *material* next to the content address; a line whose
-//! address does not hash its material is skipped on load. In memory the
-//! entries are keyed by the material itself, so a lookup is an exact match.
+//! address does not hash its material is skipped on load, and a line keyed
+//! under another [`CODE_VERSION`] is dropped, after which the file is
+//! rewritten without it, so the file does not grow across model versions.
+//! In memory the entries are keyed by the material itself, so a lookup is
+//! an exact match.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use outerspace_json::dump::{append_jsonl, read_jsonl};
+use outerspace_json::dump::{append_jsonl, read_jsonl, write_atomic};
 use outerspace_json::Json;
 
 /// Cache-key salt covering the simulator's semantics. Bump on any change to
 /// the timing, energy, or area models that alters metrics for an unchanged
 /// config + workload, or stale cached metrics will be served as fresh.
-/// (v7: evaluation-tier tag joined the key material — full-fidelity results
-/// and fast-path estimates can never alias.)
-pub const CODE_VERSION: &str = "outerspace-sim-v7";
+/// (v8: the config half keys only the fields the point's machine reads, so
+/// v7 material, which keyed every field, is never looked up again.)
+pub const CODE_VERSION: &str = "outerspace-sim-v8";
 
 /// 128-bit content hash as 32 hex digits: two independent FNV-1a-64 streams
 /// over the same bytes, decorrelated by distinct offset bases (the second is
@@ -48,7 +54,10 @@ fn fnv128_hex(bytes: &[u8]) -> String {
 
 /// Builds the canonical key material for one design point.
 ///
-/// `config_canonical` is the compact JSON of the fully-applied config,
+/// `config_canonical` is the compact JSON of the fully-applied config
+/// (the sweeps pass [`knobs::read_canonical`](crate::knobs::read_canonical),
+/// which resets the fields the machine never reads; see
+/// [`DsePoint::key_material`](crate::spec::DsePoint::key_material)),
 /// `workload_manifest` the compact JSON of
 /// [`WorkloadSpec::manifest`](crate::spec::WorkloadSpec::manifest),
 /// `alpha` the allocation-α swept alongside (if any), and `tier` the
@@ -91,6 +100,8 @@ pub struct SimCache {
     entries: HashMap<String, Json>,
     /// Lines present on disk that failed to decode (diagnostics only).
     pub skipped_lines: usize,
+    /// Entries keyed under another [`CODE_VERSION`], dropped on open.
+    pub stale_lines: usize,
 }
 
 impl SimCache {
@@ -99,7 +110,11 @@ impl SimCache {
 
     /// Opens (or initializes) the cache under `dir`. A missing file is an
     /// empty cache; a torn final line is dropped; well-formed lines that are
-    /// not cache entries are counted in `skipped_lines` and ignored.
+    /// not cache entries are counted in `skipped_lines` and ignored. Entries
+    /// keyed under another [`CODE_VERSION`] can never be looked up: they
+    /// are counted in `stale_lines` and not loaded, and when there are any
+    /// the file is rewritten atomically with the current entries' lines
+    /// only, in their order.
     ///
     /// # Errors
     ///
@@ -107,7 +122,9 @@ impl SimCache {
     pub fn open(dir: &Path) -> io::Result<SimCache> {
         let path = dir.join(Self::FILE);
         let mut entries = HashMap::new();
-        let mut skipped = 0usize;
+        let (mut skipped, mut stale) = (0usize, 0usize);
+        let current = format!("{CODE_VERSION}\u{1f}");
+        let mut kept = String::new();
         match read_jsonl(&path) {
             Ok(lines) => {
                 for line in lines {
@@ -116,7 +133,13 @@ impl SimCache {
                     let metrics = line.get("metrics");
                     match (key, material, metrics) {
                         (Some(k), Some(m), Some(v)) if key_of(m) == k => {
-                            entries.insert(m.to_string(), v.clone());
+                            if m.starts_with(&current) {
+                                entries.insert(m.to_string(), v.clone());
+                                kept.push_str(&line.to_string_compact());
+                                kept.push('\n');
+                            } else {
+                                stale += 1;
+                            }
                         }
                         _ => skipped += 1,
                     }
@@ -125,7 +148,10 @@ impl SimCache {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
-        Ok(SimCache { path, entries, skipped_lines: skipped })
+        if stale > 0 {
+            write_atomic(&path, &kept)?;
+        }
+        Ok(SimCache { path, entries, skipped_lines: skipped, stale_lines: stale })
     }
 
     /// Number of entries currently held.
@@ -281,6 +307,44 @@ mod tests {
         let c2 = SimCache::open(&dir).unwrap();
         assert_eq!(c2.skipped_lines, 1);
         assert_eq!(c2.lookup(&mat), Some(&Json::UInt(1)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lines_of_another_code_version_are_dropped_and_compacted() {
+        let dir = scratch("stale");
+        let mat_a = key_material("{\"a\":1}", "{}", None, "full");
+        let mat_b = key_material("{\"b\":2}", "{}", None, "interval");
+        let old = mat_a.replacen(CODE_VERSION, "outerspace-sim-v7", 1);
+        assert_ne!(old, mat_a);
+        let path = dir.join(SimCache::FILE);
+        let line = |m: &str, v: u64| {
+            Json::Obj(vec![
+                ("key".into(), Json::Str(key_of(m))),
+                ("material".into(), Json::Str(m.to_string())),
+                ("metrics".into(), Json::UInt(v)),
+            ])
+        };
+        append_jsonl(&path, &line(&old, 7)).unwrap();
+        append_jsonl(&path, &line(&mat_a, 1)).unwrap();
+        append_jsonl(&path, &line(&old, 8)).unwrap();
+        append_jsonl(&path, &line(&mat_b, 2)).unwrap();
+        let c = SimCache::open(&dir).unwrap();
+        assert_eq!((c.len(), c.stale_lines, c.skipped_lines), (2, 2, 0));
+        assert!(c.lookup(&old).is_none());
+        assert_eq!(c.lookup(&mat_a), Some(&Json::UInt(1)));
+        assert_eq!(c.lookup(&mat_b), Some(&Json::UInt(2)));
+        // Rewritten with the current lines only, in order: a reopen finds
+        // nothing stale and the same entries.
+        let text = fs::read_to_string(&path).unwrap();
+        let want = format!(
+            "{}\n{}\n",
+            line(&mat_a, 1).to_string_compact(),
+            line(&mat_b, 2).to_string_compact()
+        );
+        assert_eq!(text, want);
+        let again = SimCache::open(&dir).unwrap();
+        assert_eq!((again.len(), again.stale_lines), (2, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,11 +9,14 @@
 //! 1. `validate()`s its config — invalid corners of the space are *counted
 //!    and reported* ([`PointOutcome::Invalid`]), never silently dropped;
 //! 2. probes the cache under its content address (which includes the
-//!    evaluation tier tag) — a hit costs one hash;
-//! 3. on a miss, synthesizes the workload and evaluates it through the
-//!    sweep's [`EvalTier`]: the full phase pipeline or a sampled-window
-//!    interval estimate (see [`crate::tiers`]), priced by the Table 6
-//!    area/power model.
+//!    evaluation tier tag, and only the config fields its machine reads)
+//!    — a hit costs one hash, and a point sharing the address of an
+//!    earlier point in its round takes that point's outcome undispatched;
+//! 3. on a miss, takes its workload from the sweep's memo (generated and
+//!    prepared once per workload) and evaluates it through the sweep's
+//!    [`EvalTier`]: the full phase pipeline or a sampled-window interval
+//!    estimate on the prepared workload (see [`crate::tiers`]), priced by
+//!    the Table 6 area/power model.
 //!
 //! With [`SweepOptions::abort`] set, points run in fixed-size rounds; a
 //! [`FrontierTracker`] frozen during each round supplies dominance abort
@@ -30,12 +33,14 @@
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use outerspace_json::{Json, ToJson};
+use outerspace_sim::interval::Prepared;
 use outerspace_sparse::Csr;
 
 use crate::cache::{key_material, SimCache};
+use crate::knobs;
 use crate::spec::DsePoint;
 use crate::tiers::{self, EvalTier, FrontierTracker, SweepOptions, TierFailure};
 
@@ -132,6 +137,13 @@ pub fn run_sweep(points: &[DsePoint], cache: &mut SimCache, threads: usize) -> S
 }
 
 /// [`run_sweep`] with explicit tier routing and early-abort control.
+///
+/// Each round resolves duplicates before dispatch: a point whose key
+/// material an earlier point of the round shares (see
+/// [`DsePoint::key_material`]) takes that point's outcome — a cache hit
+/// when it is `Ok` — exactly as if the two had run one after the other, so
+/// the split between simulated points and cache hits does not depend on
+/// the thread count.
 pub fn run_sweep_opts(
     points: &[DsePoint],
     cache: &mut SimCache,
@@ -140,11 +152,7 @@ pub fn run_sweep_opts(
 ) -> SweepResult {
     let threads = threads.max(1).min(points.len().max(1));
     let shared_cache = Mutex::new(&mut *cache);
-    // Workload synthesis memo, keyed by manifest (generator + shape +
-    // seed): a sweep re-visits each workload once per config combo, and
-    // for the interval tier generation is a visible share of the per-point
-    // cost. Metrics stay pure functions of the manifest either way.
-    let gen_memo: Mutex<HashMap<String, Arc<Csr>>> = Mutex::new(HashMap::new());
+    let memo = WorkloadMemo::default();
     let mut outcomes: Vec<PointOutcome> = Vec::with_capacity(points.len());
     let mut tracker = FrontierTracker::default();
     let round = if opts.abort {
@@ -156,22 +164,41 @@ pub fn run_sweep_opts(
     let mut start = 0usize;
     while start < points.len() {
         let chunk = &points[start..(start + round).min(points.len())];
+        let keys: Vec<Result<String, String>> =
+            chunk.iter().map(|p| point_key(p, opts.tier)).collect();
+        let mut first_with: HashMap<&str, usize> = HashMap::new();
+        let leader: Vec<Option<usize>> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| {
+                let first = *first_with.entry(key.as_deref().ok()?).or_insert(i);
+                (first != i).then_some(first)
+            })
+            .collect();
+        let todo: Vec<usize> = (0..chunk.len()).filter(|&i| leader[i].is_none()).collect();
         let next = AtomicUsize::new(0);
-        let chunk_mx: Mutex<Vec<PointOutcome>> = Mutex::new(Vec::with_capacity(chunk.len()));
+        let done: Mutex<Vec<Option<PointOutcome>>> = Mutex::new(vec![None; chunk.len()]);
         let frontier = opts.abort.then_some(&tracker);
         std::thread::scope(|scope| {
-            for _ in 0..threads.min(chunk.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunk.len() {
-                        break;
+            for _ in 0..threads.min(todo.len()) {
+                scope.spawn(|| {
+                    while let Some(&i) = todo.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        let outcome =
+                            evaluate(&chunk[i], &keys[i], &shared_cache, &memo, opts, frontier);
+                        done.lock().unwrap()[i] = Some(outcome);
                     }
-                    let outcome = evaluate(&chunk[i], &shared_cache, &gen_memo, opts, frontier);
-                    chunk_mx.lock().unwrap().push(outcome);
                 });
             }
         });
-        let mut chunk_outcomes = chunk_mx.into_inner().unwrap();
+        let mut done = done.into_inner().unwrap();
+        for (i, first) in leader.iter().enumerate() {
+            if let Some(first) = *first {
+                let outcome = done[first].as_ref().expect("a leader runs in its round");
+                done[i] = Some(follow(outcome, chunk[i].index));
+            }
+        }
+        let mut chunk_outcomes: Vec<PointOutcome> =
+            done.into_iter().map(|o| o.expect("every point has an outcome")).collect();
         chunk_outcomes.sort_by_key(PointOutcome::index);
         if opts.abort {
             // The frontier only advances at round barriers, so every point
@@ -200,37 +227,71 @@ pub fn run_sweep_opts(
     SweepResult { outcomes, cache_hits, simulated, invalid, aborted, failed }
 }
 
+/// One workload of a sweep: the generated matrix and its interval-tier
+/// preparation, which also carries the outer-product sizes the abort
+/// floor and the α analysis read.
+struct Workload {
+    a: Csr,
+    prep: Prepared,
+}
+
+/// The sweep's workloads by manifest (generator + shape + seed). A sweep
+/// visits each workload once per config combo, so the first point to need
+/// one generates and prepares it while the others wait, and every later
+/// point reuses it. Metrics stay pure functions of the manifest either way.
+type WorkloadMemo = Mutex<HashMap<String, Arc<OnceLock<Result<Workload, String>>>>>;
+
+/// A point's cache key material, or why its config is invalid.
+fn point_key(point: &DsePoint, tier: EvalTier) -> Result<String, String> {
+    point.config.validate().map_err(|e| e.to_string())?;
+    Ok(point.key_material(tier))
+}
+
+/// The outcome of a point whose key an earlier point of its round shares:
+/// the earlier point's, served from the cache when it is `Ok`.
+fn follow(first: &PointOutcome, index: usize) -> PointOutcome {
+    let mut outcome = first.clone();
+    match &mut outcome {
+        PointOutcome::Ok { index: i, cached, .. } => {
+            *i = index;
+            *cached = true;
+        }
+        PointOutcome::Invalid { index: i, .. }
+        | PointOutcome::Aborted { index: i, .. }
+        | PointOutcome::Failed { index: i, .. } => *i = index,
+    }
+    outcome
+}
+
 fn evaluate(
     point: &DsePoint,
+    key: &Result<String, String>,
     cache: &Mutex<&mut SimCache>,
-    gen_memo: &Mutex<HashMap<String, Arc<Csr>>>,
+    memo: &WorkloadMemo,
     opts: &SweepOptions,
     frontier: Option<&FrontierTracker>,
 ) -> PointOutcome {
     let index = point.index;
-    if let Err(e) = point.config.validate() {
-        return PointOutcome::Invalid { index, reason: e.to_string() };
+    let material = match key {
+        Ok(material) => material,
+        Err(reason) => return PointOutcome::Invalid { index, reason: reason.clone() },
+    };
+    if let Some(metrics) = cache.lock().unwrap().lookup(material) {
+        return PointOutcome::Ok { index, metrics: metrics.clone(), cached: true };
     }
     // The workload seed folds in the generator identity via the manifest, so
     // two workloads in one spec get decorrelated streams from one sweep seed.
     let seed = point.workload_seed();
     let manifest = point.workload.manifest(seed).to_string_compact();
-    let material =
-        key_material(&point.config_canonical(), &manifest, point.alpha, opts.tier.tag());
-    if let Some(metrics) = cache.lock().unwrap().lookup(&material) {
-        return PointOutcome::Ok { index, metrics: metrics.clone(), cached: true };
-    }
-    let memoized = gen_memo.lock().unwrap().get(&manifest).cloned();
-    let a: Arc<Csr> = match memoized {
-        Some(a) => a,
-        None => match point.workload.generate(seed) {
-            Ok(a) => {
-                let a = Arc::new(a);
-                gen_memo.lock().unwrap().insert(manifest.clone(), Arc::clone(&a));
-                a
-            }
-            Err(e) => return PointOutcome::Failed { index, error: e },
-        },
+    let slot = Arc::clone(memo.lock().unwrap().entry(manifest).or_default());
+    let workload = slot.get_or_init(|| {
+        let a = point.workload.generate(seed)?;
+        let prep = Prepared::new(&a, &a, &opts.interval).map_err(|e| e.to_string())?;
+        Ok(Workload { a, prep })
+    });
+    let Workload { a, prep } = match workload {
+        Ok(w) => w,
+        Err(e) => return PointOutcome::Failed { index, error: e.clone() },
     };
 
     // Dominance pre-check on config-only + workload-shape lower bounds: a
@@ -243,7 +304,7 @@ fn evaluate(
         )
     });
     if let Some(t) = threshold {
-        let floor = tiers::apriori_cycle_floor(&point.config, &a);
+        let floor = tiers::apriori_cycle_floor(&point.config, prep);
         if floor > t {
             return PointOutcome::Aborted {
                 index,
@@ -255,14 +316,14 @@ fn evaluate(
     }
 
     let sim = panic::catch_unwind(AssertUnwindSafe(|| match opts.tier {
-        EvalTier::Full => tiers::simulate_full_tier(point, &a).map_err(TierFailure::Error),
-        EvalTier::Interval => {
-            tiers::simulate_interval_tier(point, &a, &opts.interval, threshold)
+        EvalTier::Full => {
+            tiers::simulate_full_tier(point, a, prep.work()).map_err(TierFailure::Error)
         }
+        EvalTier::Interval => tiers::simulate_interval_tier(point, a, prep, threshold),
     }));
     match sim {
         Ok(Ok(metrics)) => {
-            if let Err(e) = cache.lock().unwrap().insert(&material, metrics.clone()) {
+            if let Err(e) = cache.lock().unwrap().insert(material, metrics.clone()) {
                 return PointOutcome::Failed { index, error: format!("cache append: {e}") };
             }
             PointOutcome::Ok { index, metrics, cached: false }
@@ -294,6 +355,16 @@ impl DsePoint {
             h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
         h
+    }
+
+    /// The point's memo-cache key material under `tier`: the config fields
+    /// its machine reads ([`knobs::read_canonical`]), the workload
+    /// manifest, α and the tier tag. Points that differ only in fields
+    /// their machine never reads share it. Pareto grouping keys on
+    /// [`DsePoint::config_canonical`] instead, which keeps every field.
+    pub fn key_material(&self, tier: EvalTier) -> String {
+        let manifest = self.workload.manifest(self.workload_seed()).to_string_compact();
+        key_material(&knobs::read_canonical(&self.config), &manifest, self.alpha, tier.tag())
     }
 }
 
@@ -519,6 +590,49 @@ mod tests {
             let _ = fs::remove_dir_all(&tdir);
         }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shared_keys_resolve_the_same_at_any_thread_count() {
+        // OuterSPACE never reads merge_tree_ways, so its two points per
+        // workload share one key and the later one is a cache hit; the
+        // SpArch points are all distinct.
+        let spec = SpaceSpec::parse_str(
+            r#"{"name":"t","axes":[
+                {"knob":"machine_model","values":[0,1]},
+                {"knob":"merge_tree_ways","values":[16,64]}],
+              "workloads":[{"kind":"uniform","n":48,"nnz":200},
+                           {"kind":"rmat","n":64,"nnz":300}]}"#,
+        )
+        .unwrap();
+        let points = spec.expand(None, 9).unwrap();
+        assert_eq!(points.len(), 8);
+        for tier in [EvalTier::Full, EvalTier::Interval] {
+            let opts = SweepOptions { tier, ..SweepOptions::default() };
+            let mut reference: Option<Vec<(usize, bool, String)>> = None;
+            for threads in [1usize, 4] {
+                let dir = scratch(&format!("shared-{}-{threads}", tier.tag()));
+                let mut cache = SimCache::open(&dir).unwrap();
+                let r = run_sweep_opts(&points, &mut cache, threads, &opts);
+                assert_eq!((r.simulated, r.cache_hits), (6, 2), "{tier:?}, {threads} threads");
+                assert_eq!(cache.len(), 6, "one entry per distinct key");
+                let summary = r
+                    .outcomes
+                    .iter()
+                    .map(|o| match o {
+                        PointOutcome::Ok { index, metrics, cached } => {
+                            (*index, *cached, metrics.to_string_compact())
+                        }
+                        other => panic!("non-ok outcome {other:?}"),
+                    })
+                    .collect();
+                match &reference {
+                    None => reference = Some(summary),
+                    Some(first) => assert_eq!(first, &summary, "{tier:?}, {threads} threads"),
+                }
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! Integer knobs round to the nearest integer and reject negatives or values
 //! beyond `u32`, so a malformed spec fails loudly at expansion time instead
 //! of wrapping inside the simulator.
+//!
+//! [`UNREAD`] records, per machine, the fields that machine never reads;
+//! [`read_canonical`] turns it into the config half of the memo-cache key.
 
+use outerspace_json::{Json, ToJson};
 use outerspace_sim::{MachineKind, OuterSpaceConfig};
 
 /// Every sweepable knob name, in the order reports list them.
@@ -45,6 +49,64 @@ pub const KNOBS: &[&str] = &[
 /// True when `knob` names a sweepable parameter.
 pub fn is_knob(knob: &str) -> bool {
     KNOBS.contains(&knob)
+}
+
+/// Config fields each machine never reads, neither in timing (the phase
+/// engines, the interval estimator, the abort bounds) nor in pricing (the
+/// Table 6 area/power model). OuterSPACE has no merge tree and no
+/// multiplier array; the SpArch analog runs no OuterSPACE merge, so its
+/// scratchpad and worker-pair count go unused; and neither machine models
+/// the PE scratchpad or MSHR counts (the outstanding-request queues bound
+/// memory-level parallelism instead). A model change that starts reading
+/// one of these fields must drop it from this table and bump
+/// [`CODE_VERSION`](crate::cache::CODE_VERSION).
+pub const UNREAD: &[(MachineKind, &[&str])] = &[
+    (
+        MachineKind::OuterSpace,
+        &[
+            "pe_scratchpad_bytes",
+            "l0_mshrs_multiply",
+            "l0_mshrs_merge",
+            "l1_mshrs",
+            "merge_tree_ways",
+            "sparch_mul_pes",
+        ],
+    ),
+    (
+        MachineKind::SpArch,
+        &[
+            "pe_scratchpad_bytes",
+            "l0_mshrs_multiply",
+            "merge_scratchpad_bytes",
+            "l0_mshrs_merge",
+            "merge_active_pes_per_tile",
+            "l1_mshrs",
+        ],
+    ),
+];
+
+/// The fields `machine` never reads ([`UNREAD`]).
+pub fn unread_by(machine: MachineKind) -> &'static [&'static str] {
+    UNREAD.iter().find(|(m, _)| *m == machine).map_or(&[], |(_, fields)| fields)
+}
+
+/// The config half of a point's memo-cache key: the canonical compact JSON
+/// of `cfg` with every field its machine never reads ([`UNREAD`]) reset to
+/// the default's value. Two configs that differ only in such fields give
+/// the same metrics, so they share one key.
+pub fn read_canonical(cfg: &OuterSpaceConfig) -> String {
+    let unread = unread_by(cfg.machine);
+    let (Json::Obj(mut fields), Json::Obj(defaults)) =
+        (cfg.to_json(), OuterSpaceConfig::default().to_json())
+    else {
+        unreachable!("a config serializes as an object");
+    };
+    for ((name, value), (_, default)) in fields.iter_mut().zip(defaults) {
+        if unread.contains(&name.as_str()) {
+            *value = default;
+        }
+    }
+    Json::Obj(fields).to_string_compact()
 }
 
 fn as_u32(knob: &str, v: f64) -> Result<u32, String> {
@@ -181,6 +243,36 @@ mod tests {
         assert_eq!(cfg.merge_tree_ways, 16);
         assert_eq!(cfg.sparch_mul_pes, 32);
         assert!(apply(&mut cfg, "machine_model", f64::NAN).is_err());
+    }
+
+    #[test]
+    fn unread_fields_are_knobs_and_config_fields() {
+        let Json::Obj(fields) = OuterSpaceConfig::default().to_json() else { unreachable!() };
+        for (machine, names) in UNREAD {
+            for name in *names {
+                assert!(is_knob(name), "{machine}: '{name}' is not a knob");
+                assert!(fields.iter().any(|(k, _)| k == name), "{machine}: '{name}' not in config");
+            }
+        }
+    }
+
+    #[test]
+    fn read_canonical_resets_only_the_unread_fields() {
+        for machine in [MachineKind::OuterSpace, MachineKind::SpArch] {
+            let base = OuterSpaceConfig { machine, ..OuterSpaceConfig::default() };
+            for &knob in KNOBS.iter().filter(|&&k| k != "machine_model" && k != "system_scale") {
+                let mut cfg = base.clone();
+                apply(&mut cfg, knob, 2.0).unwrap();
+                if cfg == base {
+                    apply(&mut cfg, knob, 3.0).unwrap();
+                }
+                let same = read_canonical(&cfg) == read_canonical(&base);
+                assert_eq!(same, unread_by(machine).contains(&knob), "{machine}: {knob}");
+            }
+        }
+        // The default config keys as its own canonical JSON.
+        let d = OuterSpaceConfig::default();
+        assert_eq!(read_canonical(&d), d.to_json().to_string_compact());
     }
 
     #[test]

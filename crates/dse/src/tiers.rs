@@ -41,11 +41,11 @@ use std::collections::HashMap;
 
 use outerspace_energy::{ActivityFactors, AreaPowerModel};
 use outerspace_json::Json;
-use outerspace_sim::interval::{self, AbortProbe, IntervalOpts};
+use outerspace_sim::interval::{self, AbortProbe, IntervalOpts, Prepared};
 use outerspace_sim::{alloc, model, OuterSpaceConfig, SimError, SimReport};
 use outerspace_sparse::Csr;
 
-use crate::cache::{key_material, SimCache};
+use crate::cache::SimCache;
 use crate::executor::PointOutcome;
 use crate::spec::DsePoint;
 
@@ -95,7 +95,9 @@ pub struct SweepOptions {
 /// Prices one evaluated point into the canonical metrics object every tier
 /// emits: fixed key order, identical schema whether the counters came from
 /// a full run or an interval extrapolation (the interval tier appends its
-/// own sub-block after these shared keys).
+/// own sub-block after these shared keys). `work` holds the workload's
+/// outer-product sizes ([`alloc::product_sizes`]), which the allocation
+/// analysis of α points reads.
 pub(crate) fn price_metrics(
     point: &DsePoint,
     report: &SimReport,
@@ -103,7 +105,7 @@ pub(crate) fn price_metrics(
     multiply_busy_share: f64,
     merge_busy_share: f64,
     hbm_mean_occupancy: f64,
-    a: &Csr,
+    work: &[u64],
 ) -> Result<Json, String> {
     let cfg = &point.config;
     let model = AreaPowerModel::tsmc32nm();
@@ -138,8 +140,8 @@ pub(crate) fn price_metrics(
     ];
 
     if let Some(alpha) = point.alpha {
-        let reports = alloc::analyze(&a.to_csc(), a, &[alpha]);
-        let r = reports.first().ok_or("alloc::analyze returned nothing")?;
+        let reports = alloc::analyze_sizes(work, &[alpha]);
+        let r = reports.first().ok_or("alloc::analyze_sizes returned nothing")?;
         pairs.push((
             "alloc".to_string(),
             Json::Obj(vec![
@@ -154,10 +156,11 @@ pub(crate) fn price_metrics(
     Ok(Json::Obj(pairs))
 }
 
-/// Full-fidelity evaluation of one point on its pre-generated workload:
-/// the configured machine model's whole phase pipeline, priced by the
-/// Table 6 area/power model. Exactly the pre-tier executor's path.
-pub(crate) fn simulate_full_tier(point: &DsePoint, a: &Csr) -> Result<Json, String> {
+/// Full-fidelity evaluation of one point on its pre-generated workload
+/// (`work`: its outer-product sizes, for α points): the configured machine
+/// model's whole phase pipeline, priced by the Table 6 area/power model.
+/// Exactly the pre-tier executor's path.
+pub(crate) fn simulate_full_tier(point: &DsePoint, a: &Csr, work: &[u64]) -> Result<Json, String> {
     let cfg = &point.config;
     let pipe = model::for_kind(cfg.machine)
         .spgemm(cfg, a, a)
@@ -177,7 +180,7 @@ pub(crate) fn simulate_full_tier(point: &DsePoint, a: &Csr) -> Result<Json, Stri
         mult_bd.busy_cycles as f64 / mult_bd.total_pe_cycles().max(1) as f64,
         merge_bd.busy_cycles as f64 / merge_bd.total_pe_cycles().max(1) as f64,
         mult_bd.mean_channel_occupancy(),
-        a,
+        work,
     )
 }
 
@@ -203,17 +206,18 @@ impl AbortProbe for ThresholdProbe {
     }
 }
 
-/// Interval-tier evaluation: sampled-window estimate plus the shared
-/// metrics schema and an `interval` sub-block carrying the sampling
+/// Interval-tier evaluation on the workload `a` and its preparation (at
+/// the sweep's sampling parameters): sampled-window estimate plus the
+/// shared metrics schema and an `interval` sub-block carrying the sampling
 /// evidence (error bar, window and work coverage).
 pub(crate) fn simulate_interval_tier(
     point: &DsePoint,
     a: &Csr,
-    opts: &IntervalOpts,
+    prep: &Prepared,
     abort_threshold: Option<u64>,
 ) -> Result<Json, TierFailure> {
     let mut probe = ThresholdProbe(abort_threshold);
-    let est = interval::estimate_spgemm(&point.config, a, a, opts, &mut probe).map_err(
+    let est = interval::estimate_prepared(&point.config, a, a, prep, &mut probe).map_err(
         |e| match e {
             SimError::Aborted { frontier, .. } => TierFailure::Aborted { frontier },
             other => TierFailure::Error(other.to_string()),
@@ -226,7 +230,7 @@ pub(crate) fn simulate_interval_tier(
         est.multiply_busy_share,
         est.merge_busy_share,
         est.hbm_mean_occupancy,
-        a,
+        prep.work(),
     )
     .map_err(TierFailure::Error)?;
     if let Json::Obj(pairs) = &mut metrics {
@@ -264,14 +268,12 @@ pub fn config_area_mm2(cfg: &OuterSpaceConfig) -> f64 {
     AreaPowerModel::tsmc32nm().table6(cfg, None).total_area_mm2()
 }
 
-/// A-priori cycle lower bound for `C = A x A` on `cfg`: total elementary
+/// A-priori cycle lower bound for `C = A x A` on `cfg`, from the prepared
+/// workload's exact work (read once from `A`'s CC form): total elementary
 /// products over total PEs — the 1-MAC-per-PE-per-cycle roofline, valid for
 /// both machines (SpArch's multiplier array is a subset of the PE budget).
-pub fn apriori_cycle_floor(cfg: &OuterSpaceConfig, a: &Csr) -> u64 {
-    let a_cc = a.to_csc();
-    let ep: u64 =
-        (0..a.ncols()).map(|k| a_cc.col_nnz(k) as u64 * a.row_nnz(k) as u64).sum();
-    ep / cfg.total_pes().max(1)
+pub fn apriori_cycle_floor(cfg: &OuterSpaceConfig, prep: &Prepared) -> u64 {
+    prep.work_total() / cfg.total_pes().max(1)
 }
 
 /// Per-workload record of completed points, frozen between executor rounds,
@@ -496,10 +498,7 @@ pub fn validate_interval(
     // Full-fidelity reference for every picked point, through the cache.
     let mut fulls: Vec<(u64, bool)> = Vec::with_capacity(picked.len());
     for (p, _, _) in &picked {
-        let seed = p.workload_seed();
-        let manifest = p.workload.manifest(seed).to_string_compact();
-        let material =
-            key_material(&p.config_canonical(), &manifest, p.alpha, EvalTier::Full.tag());
+        let material = p.key_material(EvalTier::Full);
         let cached_cycles = cache
             .lookup(&material)
             .and_then(|m| m.get("cycles"))
@@ -508,9 +507,10 @@ pub fn validate_interval(
             fulls.push((c, true));
             continue;
         }
-        let a = p.workload.generate(seed)?;
+        let a = p.workload.generate(p.workload_seed())?;
+        let work = alloc::product_sizes(&a.to_csc(), &a);
         let t0 = std::time::Instant::now();
-        let metrics = simulate_full_tier(p, &a)?;
+        let metrics = simulate_full_tier(p, &a, &work)?;
         out.full_wall_s += t0.elapsed().as_secs_f64();
         out.full_timed += 1;
         let cycles = metrics
@@ -649,6 +649,46 @@ mod tests {
         assert_eq!(t.abort_threshold("w", 13.0, 40.0), None);
         // Different workload: never compared.
         assert_eq!(t.abort_threshold("x", 13.0, 50.0), None);
+    }
+
+    #[test]
+    fn fields_a_machine_never_reads_leave_both_tiers_unchanged() {
+        use crate::knobs::{self, unread_by};
+        use crate::spec::SpaceSpec;
+        use outerspace_json::ToJson;
+        use outerspace_sim::MachineKind;
+        let spec = SpaceSpec::parse_str(
+            r#"{"name":"t","axes":[],"alphas":[2.0],
+              "workloads":[{"kind":"rmat","n":64,"nnz":400}]}"#,
+        )
+        .unwrap();
+        let base = spec.expand(None, 3).unwrap().remove(0);
+        let a = base.workload.generate(base.workload_seed()).unwrap();
+        let prep = Prepared::new(&a, &a, &IntervalOpts { windows: 8, stride: 2 }).unwrap();
+        let metrics = |p: &DsePoint| {
+            let full = simulate_full_tier(p, &a, prep.work()).unwrap();
+            let Ok(interval) = simulate_interval_tier(p, &a, &prep, None) else {
+                panic!("interval tier failed");
+            };
+            (full.to_string_compact(), interval.to_string_compact())
+        };
+        let defaults = OuterSpaceConfig::default().to_json();
+        for machine in [MachineKind::OuterSpace, MachineKind::SpArch] {
+            let mut p = base.clone();
+            p.config.machine = machine;
+            let want = metrics(&p);
+            for &field in unread_by(machine) {
+                let d = defaults.get(field).and_then(Json::as_f64).unwrap();
+                let mut q = p.clone();
+                knobs::apply(&mut q.config, field, (d / 2.0).round()).unwrap();
+                assert_ne!(q.config, p.config, "{machine}: {field} unchanged");
+                assert!(q.config.validate().is_ok(), "{machine}: {field}");
+                for tier in [EvalTier::Full, EvalTier::Interval] {
+                    assert_eq!(q.key_material(tier), p.key_material(tier), "{machine}: {field}");
+                }
+                assert_eq!(metrics(&q), want, "{machine}: {field} changed the metrics");
+            }
+        }
     }
 
     #[test]

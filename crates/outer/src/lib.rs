@@ -63,7 +63,7 @@ pub use merge::{merge, merge_parallel, MergeKind, MergeStats, MERGE_BLOCK_COLS};
 pub use multiply::{multiply, multiply_parallel, MultiplyStats};
 pub use sparch::{
     condense, huffman_schedule, sparch_structural_plan, spgemm_sparch, spgemm_sparch_with_plan,
-    CondensedA, CondensedEntry, SparchMergeOp, SparchPlan, DEFAULT_MERGE_WAYS,
+    CondensedA, CondensedEntry, PatternUnion, SparchMergeOp, SparchPlan, DEFAULT_MERGE_WAYS,
 };
 pub use spgemm::{spgemm, spgemm_cc, spgemm_parallel, spgemm_with_stats, SpGemmReport};
 pub use spmv::{spmv, spmv_dense, SpmvStats};

@@ -281,25 +281,68 @@ struct LeafSet {
     elems: u64,
 }
 
-/// Counts the distinct `(row, col)` keys of a set of leaf streams without
-/// building them. Leaf `k` holds the `k`-th non-zero of every row that has
-/// one, so visiting rows by descending population makes the rows a leaf
-/// set touches a prefix; each row's keys are unioned over a column-indexed
-/// stamp array, one epoch per row, cleared only when the epoch wraps.
-struct PatternUnion<'m> {
-    a: &'m Csr,
-    b: &'m Csr,
-    /// Rows of `A`, most populated first.
-    rows: Vec<Index>,
+/// An epoch-stamped column set: counts the distinct column indices over a
+/// set of rows of `B`, which is the pattern size of one row of a product,
+/// in one pass with no allocation or sorting per count. Every count opens
+/// a new epoch; the stamp array is cleared only when the epoch wraps.
+///
+/// The structural SpArch planner counts each merge op's output with it,
+/// and the simulator's interval estimator counts sampled result rows.
+#[derive(Debug, Clone)]
+pub struct PatternUnion {
     stamp: Vec<u32>,
     epoch: u32,
 }
 
-impl<'m> PatternUnion<'m> {
+impl PatternUnion {
+    /// An empty set over `ncols` columns (the width of `B`).
+    pub fn new(ncols: Index) -> Self {
+        PatternUnion { stamp: vec![0; ncols as usize], epoch: 0 }
+    }
+
+    /// Distinct columns over the rows `ks` of `b`: the size of the union of
+    /// their patterns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row of `b` holds a column at or beyond the set's width.
+    pub fn count(&mut self, b: &Csr, ks: impl IntoIterator<Item = Index>) -> u64 {
+        if self.epoch == u32::MAX {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let mut out = 0u64;
+        for k in ks {
+            for &c in b.row(k).0 {
+                let slot = &mut self.stamp[c as usize];
+                if *slot != self.epoch {
+                    *slot = self.epoch;
+                    out += 1;
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Counts the distinct `(row, col)` keys of a set of leaf streams without
+/// building them. Leaf `k` holds the `k`-th non-zero of every row that has
+/// one, so visiting rows by descending population makes the rows a leaf
+/// set touches a prefix; each row's keys are one [`PatternUnion`] count.
+struct LeafUnion<'m> {
+    a: &'m Csr,
+    b: &'m Csr,
+    /// Rows of `A`, most populated first.
+    rows: Vec<Index>,
+    union: PatternUnion,
+}
+
+impl<'m> LeafUnion<'m> {
     fn new(a: &'m Csr, b: &'m Csr) -> Self {
         let mut rows: Vec<Index> = (0..a.nrows()).collect();
         rows.sort_by_key(|&r| std::cmp::Reverse(a.row_nnz(r)));
-        PatternUnion { a, b, rows, stamp: vec![0; b.ncols() as usize], epoch: 0 }
+        LeafUnion { a, b, rows, union: PatternUnion::new(b.ncols()) }
     }
 
     /// Distinct keys over `leaves` (ascending condensed-column indices).
@@ -309,21 +352,9 @@ impl<'m> PatternUnion<'m> {
         let touched = self.rows.partition_point(|&r| a.row_nnz(r) > first);
         let mut out = 0u64;
         for &r in &self.rows[..touched] {
-            if self.epoch == u32::MAX {
-                self.stamp.fill(0);
-                self.epoch = 0;
-            }
-            self.epoch += 1;
             let a_cols = a.row(r).0;
-            for &k in leaves.iter().take_while(|&&k| k < a_cols.len()) {
-                for &c in self.b.row(a_cols[k]).0 {
-                    let slot = &mut self.stamp[c as usize];
-                    if *slot != self.epoch {
-                        *slot = self.epoch;
-                        out += 1;
-                    }
-                }
-            }
+            let ks = leaves.iter().take_while(|&&k| k < a_cols.len()).map(|&k| a_cols[k]);
+            out += self.union.count(self.b, ks);
         }
         out
     }
@@ -363,7 +394,7 @@ pub fn sparch_structural_plan(
         .enumerate()
         .map(|(k, &elems)| LeafSet { leaves: vec![k], elems })
         .collect();
-    let mut union = PatternUnion::new(a, b);
+    let mut union = LeafUnion::new(a, b);
     let (ops, final_set) = huffman_schedule(leaves, ways, |s| s.elems, |inputs, last| {
         let mut leaves: Vec<usize> = inputs.into_iter().flat_map(|s| s.leaves).collect();
         leaves.sort_unstable();
@@ -418,6 +449,17 @@ mod tests {
         for k in 0..cd.width() {
             let rows: Vec<Index> = cd.col(k).iter().map(|e| e.row).collect();
             assert!(rows.windows(2).all(|w| w[0] < w[1]), "col {k} not row-sorted");
+        }
+    }
+
+    #[test]
+    fn pattern_union_counts_distinct_columns() {
+        let b = uniform::matrix(40, 30, 300, 23);
+        let mut union = PatternUnion::new(b.ncols());
+        for ks in [vec![], vec![3], vec![0, 5, 5, 9], (0..40).collect::<Vec<Index>>()] {
+            let want: std::collections::BTreeSet<Index> =
+                ks.iter().flat_map(|&k| b.row(k).0.iter().copied()).collect();
+            assert_eq!(union.count(&b, ks.iter().copied()), want.len() as u64, "{ks:?}");
         }
     }
 

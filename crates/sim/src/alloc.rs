@@ -28,19 +28,35 @@ pub struct AllocReport {
     pub wasted_elements: u64,
 }
 
+/// Elementary products of each outer product `k` of `C = A × B`:
+/// `nnz(A[:,k]) · nnz(B[k,:])`, read from `A`'s CC form.
+///
+/// # Panics
+///
+/// Panics if the shapes are incompatible.
+pub fn product_sizes(a: &Csc, b: &Csr) -> Vec<u64> {
+    assert_eq!(a.ncols(), b.nrows(), "shape mismatch");
+    (0..a.ncols()).map(|k| a.col_nnz(k) as u64 * b.row_nnz(k) as u64).collect()
+}
+
 /// Analyzes the static/spill-over allocation scheme for `C = A × B` at the
-/// given `α` values.
+/// given `α` values ([`analyze_sizes`] over [`product_sizes`]).
 ///
 /// # Panics
 ///
 /// Panics if any `alpha` is non-positive, or shapes are incompatible.
 pub fn analyze(a: &Csc, b: &Csr, alphas: &[f64]) -> Vec<AllocReport> {
-    assert_eq!(a.ncols(), b.nrows(), "shape mismatch");
-    let n = a.ncols();
-    // Product sizes per outer product k.
-    let sizes: Vec<u64> = (0..n)
-        .map(|k| a.col_nnz(k) as u64 * b.row_nnz(k) as u64)
-        .collect();
+    analyze_sizes(&product_sizes(a, b), alphas)
+}
+
+/// Analyzes the allocation scheme at the given `α` values for outer
+/// products of the given sizes ([`product_sizes`]).
+///
+/// # Panics
+///
+/// Panics if any `alpha` is non-positive.
+pub fn analyze_sizes(sizes: &[u64], alphas: &[f64]) -> Vec<AllocReport> {
+    let n = sizes.len();
     let total: u64 = sizes.iter().sum();
     let avg = total as f64 / n.max(1) as f64;
 
@@ -53,7 +69,7 @@ pub fn analyze(a: &Csc, b: &Csr, alphas: &[f64]) -> Vec<AllocReport> {
             let mut dynamic_requests = 0u64;
             let mut spilled = 0u64;
             let mut wasted = 0u64;
-            for &s in &sizes {
+            for &s in sizes {
                 if s > slot {
                     dynamic_requests += 1;
                     spilled += s - slot;

@@ -241,40 +241,6 @@ impl FaultModel {
     pub fn is_active(&self) -> bool {
         self.hbm_ber > 0.0 || self.drop_rate > 0.0 || self.ber_silent > 0.0 || self.pe_kill_count > 0
     }
-
-    fn get_or_default(j: &Json, key: &str, default: f64) -> f64 {
-        j.get(key).and_then(Json::as_f64).unwrap_or(default)
-    }
-
-    /// Decodes from JSON, tolerating missing keys (older serialized configs
-    /// predate the fault model) by falling back to the inert default.
-    pub fn from_json(j: &Json) -> FaultModel {
-        let d = FaultModel::default();
-        FaultModel {
-            seed: j.get("seed").and_then(Json::as_u64).unwrap_or(d.seed),
-            hbm_ber: Self::get_or_default(j, "hbm_ber", d.hbm_ber),
-            drop_rate: Self::get_or_default(j, "drop_rate", d.drop_rate),
-            ber_silent: Self::get_or_default(j, "ber_silent", d.ber_silent),
-            pe_kill_count: j.get("pe_kill_count").and_then(Json::as_u64).unwrap_or(0) as u32,
-            pe_kill_cycle: j.get("pe_kill_cycle").and_then(Json::as_u64).unwrap_or(0),
-            max_retries: j
-                .get("max_retries")
-                .and_then(Json::as_u64)
-                .unwrap_or(d.max_retries as u64) as u32,
-            ecc_retry_cycles: j
-                .get("ecc_retry_cycles")
-                .and_then(Json::as_u64)
-                .unwrap_or(d.ecc_retry_cycles),
-            timeout_cycles: j
-                .get("timeout_cycles")
-                .and_then(Json::as_u64)
-                .unwrap_or(d.timeout_cycles),
-            watchdog_cycles: j
-                .get("watchdog_cycles")
-                .and_then(Json::as_u64)
-                .unwrap_or(d.watchdog_cycles),
-        }
-    }
 }
 
 impl_to_json!(FaultModel {
@@ -616,51 +582,6 @@ impl OuterSpaceConfig {
         }
         Ok(())
     }
-
-    /// Decodes a configuration previously emitted through [`ToJson`].
-    /// Returns `None` if any Table 2 field is missing or mistyped; the
-    /// `faults` object is optional (older artifacts predate it).
-    pub fn from_json(j: &Json) -> Option<OuterSpaceConfig> {
-        let u32_of = |key: &str| j.get(key).and_then(Json::as_u64).map(|v| v as u32);
-        let u64_of = |key: &str| j.get(key).and_then(Json::as_u64);
-        let f64_of = |key: &str| j.get(key).and_then(Json::as_f64);
-        Some(OuterSpaceConfig {
-            clock_ghz: f64_of("clock_ghz")?,
-            n_tiles: u32_of("n_tiles")?,
-            pes_per_tile: u32_of("pes_per_tile")?,
-            outstanding_requests: u32_of("outstanding_requests")?,
-            pe_scratchpad_bytes: u32_of("pe_scratchpad_bytes")?,
-            l0_multiply_bytes: u32_of("l0_multiply_bytes")?,
-            l0_ways: u32_of("l0_ways")?,
-            l0_mshrs_multiply: u32_of("l0_mshrs_multiply")?,
-            l0_merge_bytes: u32_of("l0_merge_bytes")?,
-            merge_scratchpad_bytes: u32_of("merge_scratchpad_bytes")?,
-            l0_mshrs_merge: u32_of("l0_mshrs_merge")?,
-            merge_active_pes_per_tile: u32_of("merge_active_pes_per_tile")?,
-            l1_bytes: u32_of("l1_bytes")?,
-            l1_ways: u32_of("l1_ways")?,
-            n_l1: u32_of("n_l1")?,
-            l1_mshrs: u32_of("l1_mshrs")?,
-            block_bytes: u32_of("block_bytes")?,
-            hbm_channels: u32_of("hbm_channels")?,
-            hbm_channel_mb_per_sec: u32_of("hbm_channel_mb_per_sec")?,
-            hbm_latency_min_ns: f64_of("hbm_latency_min_ns")?,
-            hbm_latency_max_ns: f64_of("hbm_latency_max_ns")?,
-            l0_hit_cycles: u64_of("l0_hit_cycles")?,
-            l1_hit_cycles: u64_of("l1_hit_cycles")?,
-            xbar_cycles: u64_of("xbar_cycles")?,
-            // Machine-model fields are tolerant like `faults`: artifacts
-            // older than the abstraction decode as the OuterSPACE default.
-            machine: j
-                .get("machine")
-                .and_then(Json::as_str)
-                .and_then(MachineKind::parse)
-                .unwrap_or_default(),
-            merge_tree_ways: u32_of("merge_tree_ways").unwrap_or(64),
-            sparch_mul_pes: u32_of("sparch_mul_pes").unwrap_or(16),
-            faults: j.get("faults").map(FaultModel::from_json).unwrap_or_default(),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -855,12 +776,6 @@ mod tests {
 
     #[test]
     fn config_round_trips_through_json() {
-        let mut c = OuterSpaceConfig::default();
-        c.faults.hbm_ber = 1e-9;
-        c.faults.ber_silent = 3e-8;
-        c.faults.seed = 42;
-        let parsed = outerspace_json::parse(&c.to_json().to_string_compact()).unwrap();
-        assert_eq!(OuterSpaceConfig::from_json(&parsed), Some(c));
         // A silent-only model counts as active (the injector must be built).
         let mut s = OuterSpaceConfig::default();
         s.faults.ber_silent = 1e-8;
@@ -890,32 +805,5 @@ mod tests {
         );
         let sparch = OuterSpaceConfig { machine: MachineKind::SpArch, ..Default::default() };
         assert!(sparch.validate().is_ok());
-        let parsed =
-            outerspace_json::parse(&sparch.to_json().to_string_compact()).unwrap();
-        assert_eq!(OuterSpaceConfig::from_json(&parsed), Some(sparch));
-    }
-
-    #[test]
-    fn config_decode_tolerates_missing_machine_fields() {
-        let c = OuterSpaceConfig::default();
-        let mut j = match c.to_json() {
-            Json::Obj(pairs) => pairs,
-            _ => unreachable!(),
-        };
-        j.retain(|(k, _)| !matches!(k.as_str(), "machine" | "merge_tree_ways" | "sparch_mul_pes"));
-        let back = OuterSpaceConfig::from_json(&Json::Obj(j)).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn config_decode_tolerates_missing_fault_block() {
-        let c = OuterSpaceConfig::default();
-        let mut j = match c.to_json() {
-            Json::Obj(pairs) => pairs,
-            _ => unreachable!(),
-        };
-        j.retain(|(k, _)| k != "faults");
-        let back = OuterSpaceConfig::from_json(&Json::Obj(j)).unwrap();
-        assert_eq!(back, c);
     }
 }

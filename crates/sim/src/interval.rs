@@ -10,13 +10,14 @@
 //! O(flops) work:
 //!
 //! 1. **Merge metadata is computed structurally, never functionally.**
-//!    Per-row output lengths come from stamp-array unions of `B`-row
-//!    patterns over `A`'s rows (a couple of machine ops per elementary
-//!    product, no allocation or sorting); the SpArch-analog merge schedule
-//!    is synthesised from exact structural leaf sizes by replaying the
-//!    planner's Huffman policy with a survival-rate shrink model fitted
-//!    (by bisection) so the final stream matches the structural result
-//!    estimate. The real merge kernels then replay that metadata exactly.
+//!    Per-row output lengths come from stamp-array unions
+//!    ([`outer::PatternUnion`]) of `B`-row patterns over `A`'s rows (a
+//!    couple of machine ops per elementary product, no allocation or
+//!    sorting); the SpArch-analog merge schedule is synthesised from
+//!    exact structural leaf sizes by replaying the planner's Huffman
+//!    policy with a survival-rate shrink model fitted (by bisection) so
+//!    the final stream matches the structural result estimate. The real
+//!    merge kernels then replay that metadata exactly.
 //! 2. **Sampled work runs in the full run's regime, not a miniature of
 //!    it.** The OuterSPACE merge replays a row sample on a machine shrunk
 //!    to match ([`structural_merge_outerspace`]) so utilization and HBM
@@ -47,6 +48,16 @@
 //! boundaries, strata and the sampled subsets are deterministic, so DSE
 //! reports built from it stay byte-identical across runs and threads.
 //!
+//! **Prepare once, time per configuration.** Everything above that
+//! depends only on the operands and `opts` — the work of every outer
+//! product, the merge sample's chunk layout and row shapes, the window
+//! plan and its sliced operands, the SpArch leaf sizes, fit target and
+//! condensed row groups — lives in a [`Prepared`], built once per workload
+//! (each machine's part on first use). [`estimate_prepared`] runs only the
+//! engines, the per-arity Huffman fit and the extrapolation, so a DSE
+//! sweep pays the preparation once per workload rather than once per
+//! point; [`estimate_spgemm`] is the one-off form.
+//!
 //! An [`AbortProbe`] threads the DSE dominance early-abort through the
 //! estimator: the exact convert + merge cycles seed the lower bound before
 //! any multiply window runs, and between windows (plus inside the multiply
@@ -54,10 +65,13 @@
 //! monotone lower bound on the final estimated cycle count and may stop
 //! the point with [`SimError::Aborted`].
 
+use std::sync::OnceLock;
+
 use outerspace_outer as outer;
-use outerspace_outer::{SparchMergeOp, SparchPlan};
+use outerspace_outer::{CondensedA, PatternUnion, SparchMergeOp, SparchPlan};
 use outerspace_sparse::{Csc, Csr, Index};
 
+use crate::alloc;
 use crate::config::{MachineKind, OuterSpaceConfig};
 use crate::engine::{self, KernelObserver};
 use crate::error::SimError;
@@ -301,40 +315,6 @@ fn scale_stats(s: &PhaseStats, num: u64, den: u64) -> PhaseStats {
     }
 }
 
-/// Reusable stamp array for row-pattern unions: the output length of `C`'s
-/// row `i` is `|union over k in A.row(i) of pattern(B.row(k))|`, computed
-/// in O(produced_i) with no allocation per row.
-struct StampUnion {
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl StampUnion {
-    fn new(ncols: Index) -> Self {
-        StampUnion { stamp: vec![0; ncols as usize], epoch: 0 }
-    }
-
-    fn row_out_len(&mut self, a_row_cols: &[Index], b: &Csr) -> u64 {
-        if self.epoch == u32::MAX {
-            self.stamp.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        let mut out = 0u64;
-        for &k in a_row_cols {
-            let (cols, _) = b.row(k);
-            for &c in cols {
-                let slot = &mut self.stamp[c as usize];
-                if *slot != self.epoch {
-                    *slot = self.epoch;
-                    out += 1;
-                }
-            }
-        }
-        out
-    }
-}
-
 /// Every `stride`-th non-empty product row, with the elementary-product
 /// totals needed to extrapolate back to the full population.
 struct RowSample {
@@ -364,6 +344,165 @@ fn sample_rows(a: &Csr, b: &Csr, stride: u32) -> RowSample {
     RowSample { rows, produced_total, produced_sampled }
 }
 
+/// The workload-only inputs of an interval estimate: everything
+/// [`estimate_prepared`] would otherwise rebuild for every configuration.
+/// Built once per `(A, B, opts)`; each machine's part is built on its
+/// first use and shared by every later estimate, from any thread.
+///
+/// - Shared: the work of every outer product, read from `A`'s CC form,
+///   its total, and whether a full run skips the conversion (symmetric
+///   `A`).
+/// - OuterSPACE: the merge sample's chunk layout and [`RowMergeInfo`]s,
+///   and the multiply window plan with the sampled windows' operands.
+/// - SpArch analog: the stride-shrunk leaf sizes, the fit target of the
+///   Huffman schedule, and the condensed row groups of the multiply
+///   sample.
+///
+/// The configuration-dependent work (the engines, the per-`ways` Huffman
+/// fit and the extrapolation) stays in [`estimate_prepared`], so an
+/// estimate from a shared `Prepared` equals one from a fresh `Prepared`.
+#[derive(Debug)]
+pub struct Prepared {
+    opts: IntervalOpts,
+    /// `(A rows, A cols, nnz(A), B cols, nnz(B))`: the operands this was
+    /// built from, checked on every use.
+    shape: (Index, Index, usize, Index, usize),
+    skipped_symmetric: bool,
+    /// Elementary products of each outer product `k`.
+    work: Vec<u64>,
+    total_ep: u64,
+    outerspace: OnceLock<Result<OuterSpacePrep, SimError>>,
+    sparch: OnceLock<SparchPrep>,
+}
+
+/// The OuterSPACE machine's part of a [`Prepared`].
+#[derive(Debug)]
+struct OuterSpacePrep {
+    /// `None` when no product row is non-empty.
+    merge: Option<MergeSample>,
+    windows: WindowPlan,
+}
+
+/// The OuterSPACE merge sample (see [`structural_merge_outerspace`]).
+#[derive(Debug)]
+struct MergeSample {
+    /// The merge stride ([`MERGE_STRIDE_CAP`]-capped).
+    stride: u32,
+    layout: IntermediateLayout,
+    rows: Vec<RowMergeInfo>,
+    /// Output non-zeros of the sampled rows.
+    out_nnz: u64,
+    produced_total: u64,
+    produced_sampled: u64,
+}
+
+/// The OuterSPACE multiply's column windows (see
+/// [`sample_multiply_outerspace`]).
+#[derive(Debug)]
+struct WindowPlan {
+    windows_total: u32,
+    windows_nonempty: u32,
+    /// Work of every light window, sampled or not.
+    light_ep_total: u64,
+    /// The windows to simulate, in order.
+    sampled: Vec<SampledWindow>,
+}
+
+/// One simulated multiply window: its slice of `A` (every `r`-th row only,
+/// when heavy) and the matching rows of `B`.
+#[derive(Debug)]
+struct SampledWindow {
+    a: Csc,
+    b: Csr,
+    /// The window's exact work.
+    ep: u64,
+    /// The work the simulated operands carry.
+    ep_sim: u64,
+    heavy: bool,
+}
+
+/// The SpArch analog's part of a [`Prepared`].
+#[derive(Debug)]
+struct SparchPrep {
+    /// The merge stride the leaf sizes and the target are shrunk by.
+    shrink: u64,
+    /// Leaf sizes shrunk by `shrink`; their count is the full run's.
+    leaf_scaled: Vec<u64>,
+    /// The structural result estimate, shrunk the same way.
+    target_scaled: u64,
+    /// Row groups of the multiply sample, empty ones included.
+    groups_total: u32,
+    /// The non-empty groups' condensed operands and exact work, in order.
+    groups: Vec<(CondensedA, u64)>,
+}
+
+impl Prepared {
+    /// Prepares `A x B` for estimates at sampling parameters `opts`.
+    ///
+    /// # Errors
+    ///
+    /// Shape mismatch ([`SimError::Sparse`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts.windows` or `opts.stride` is zero.
+    pub fn new(a: &Csr, b: &Csr, opts: &IntervalOpts) -> Result<Prepared, SimError> {
+        assert!(opts.windows > 0 && opts.stride > 0, "interval opts must be positive");
+        outerspace_sparse::ops::check_spgemm_dims((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))
+            .map_err(outerspace_sparse::SparseError::from)?;
+        // Shared-dimension work weights: ep(k) = nnz(A[:,k]) * nnz(B[k,:]).
+        // The CC form itself is not kept: only the OuterSPACE part slices
+        // it, once, while it is built.
+        let (a_cc, conv) = outer::csr_to_csc_via_outer(a);
+        let work = alloc::product_sizes(&a_cc, b);
+        let total_ep = work.iter().sum();
+        Ok(Prepared {
+            opts: *opts,
+            shape: (a.nrows(), a.ncols(), a.nnz(), b.ncols(), b.nnz()),
+            skipped_symmetric: conv.skipped_symmetric,
+            work,
+            total_ep,
+            outerspace: OnceLock::new(),
+            sparch: OnceLock::new(),
+        })
+    }
+
+    /// Elementary products of each outer product `k` of `A x B`
+    /// ([`alloc::product_sizes`]).
+    pub fn work(&self) -> &[u64] {
+        &self.work
+    }
+
+    /// Exact total elementary products of `A x B` (= flops of a full run).
+    pub fn work_total(&self) -> u64 {
+        self.total_ep
+    }
+
+    fn check_operands(&self, a: &Csr, b: &Csr) {
+        assert_eq!(
+            self.shape,
+            (a.nrows(), a.ncols(), a.nnz(), b.ncols(), b.nnz()),
+            "operands differ from the ones this preparation was built from"
+        );
+    }
+
+    fn outerspace(&self, a: &Csr, b: &Csr) -> Result<&OuterSpacePrep, SimError> {
+        self.outerspace
+            .get_or_init(|| {
+                let a_cc = a.to_csc();
+                let merge = prepare_merge_outerspace(a, &a_cc, b, self.opts.stride)?;
+                let windows = plan_windows(&a_cc, b, &self.work, self.total_ep, &self.opts);
+                Ok(OuterSpacePrep { merge, windows })
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    fn sparch(&self, a: &Csr, b: &Csr) -> &SparchPrep {
+        self.sparch.get_or_init(|| prepare_sparch(a, b, &self.opts))
+    }
+}
+
 /// The structurally derived non-multiply phases of one estimate.
 struct ExactPhases {
     merge: PhaseStats,
@@ -382,42 +521,20 @@ struct ExactPhases {
 /// the contention regime the shrunken run is supposed to preserve.
 const MERGE_STRIDE_CAP: u32 = 4;
 
-/// OuterSPACE merge from structural metadata: every `stride`-th non-empty
-/// product row (complete cross-window chunk lists in the multiply kernel's
-/// k-major allocation order, output lengths from stamp unions) replayed on
-/// a machine shrunk to match — `n_tiles / stride` tiles and the HBM
-/// channel count scaled the same way.
-///
-/// Shrinking the machine with the sample keeps the per-worker row load and
-/// the worker:channel ratio — and therefore both the utilization and the
-/// contention regime — equal to the full run's, so the simulated makespan
-/// estimates the full makespan *directly*: in the throughput-bound regime
-/// `1/stride` of the work on `1/stride` of the machine takes the same
-/// time, and in the straggler-bound regime the sampled straggler costs
-/// what it costs in the full run. (Scaling a small-sample makespan by work
-/// instead was observed to overestimate skewed matrices ~3x — a
-/// near-empty worker pool is latency-bound where the full pool is not —
-/// and a shrunken pool on a full-size HBM underestimates bandwidth-bound
-/// merges ~3x.) Cycles are corrected only by the residual factor
-/// `work_ratio x tiles' / n_tiles`, which is 1 when the stride divides the
-/// tile count evenly; the extensive counters scale by the work ratio.
-fn structural_merge_outerspace(
-    cfg: &OuterSpaceConfig,
+/// The OuterSPACE merge sample: every `stride`-th non-empty product row
+/// (capped at [`MERGE_STRIDE_CAP`]), with its complete cross-window chunk
+/// list in the multiply kernel's k-major allocation order and its output
+/// length from a [`PatternUnion`]. `None` when no row is non-empty.
+fn prepare_merge_outerspace(
     a: &Csr,
     a_cc: &Csc,
     b: &Csr,
     stride: u32,
-) -> Result<ExactPhases, SimError> {
+) -> Result<Option<MergeSample>, SimError> {
     let stride = stride.min(MERGE_STRIDE_CAP);
     let sample = sample_rows(a, b, stride);
     if sample.rows.is_empty() {
-        return Ok(ExactPhases {
-            merge: PhaseStats::default(),
-            merge_busy: 0,
-            merge_total_pe: 0,
-            result_nnz: 0,
-            spilled: false,
-        });
+        return Ok(None);
     }
     // Chunk lengths per sampled row, in MultiplyKernel allocation order
     // (k-major over the shared dimension).
@@ -439,9 +556,9 @@ fn structural_merge_outerspace(
             }
         }
     }
-    let mut union = StampUnion::new(b.ncols());
+    let mut union = PatternUnion::new(b.ncols());
     let mut layout = IntermediateLayout::new(sample.rows.len() as Index);
-    let mut rows_info = Vec::with_capacity(sample.rows.len());
+    let mut rows = Vec::with_capacity(sample.rows.len());
     let mut out_nnz = 0u64;
     for (si, &i) in sample.rows.iter().enumerate() {
         let mut prod = 0u64;
@@ -449,15 +566,54 @@ fn structural_merge_outerspace(
             layout.alloc_chunk(si as Index, len);
             prod += len as u64;
         }
-        let out = union.row_out_len(a.row(i).0, b);
+        let out = union.count(b, a.row(i).0.iter().copied());
         out_nnz += out;
-        rows_info.push(RowMergeInfo::checked(i, prod, out, b.ncols())?);
+        rows.push(RowMergeInfo::checked(i, prod, out, b.ncols())?);
     }
+    Ok(Some(MergeSample {
+        stride,
+        layout,
+        rows,
+        out_nnz,
+        produced_total: sample.produced_total,
+        produced_sampled: sample.produced_sampled,
+    }))
+}
 
-    let tiles = (cfg.n_tiles / stride).max(1);
+/// OuterSPACE merge from structural metadata: the prepared row sample
+/// replayed on a machine shrunk to match — `n_tiles / stride` tiles and
+/// the HBM channel count scaled the same way.
+///
+/// Shrinking the machine with the sample keeps the per-worker row load and
+/// the worker:channel ratio — and therefore both the utilization and the
+/// contention regime — equal to the full run's, so the simulated makespan
+/// estimates the full makespan *directly*: in the throughput-bound regime
+/// `1/stride` of the work on `1/stride` of the machine takes the same
+/// time, and in the straggler-bound regime the sampled straggler costs
+/// what it costs in the full run. (Scaling a small-sample makespan by work
+/// instead was observed to overestimate skewed matrices ~3x — a
+/// near-empty worker pool is latency-bound where the full pool is not —
+/// and a shrunken pool on a full-size HBM underestimates bandwidth-bound
+/// merges ~3x.) Cycles are corrected only by the residual factor
+/// `work_ratio x tiles' / n_tiles`, which is 1 when the stride divides the
+/// tile count evenly; the extensive counters scale by the work ratio.
+fn structural_merge_outerspace(
+    cfg: &OuterSpaceConfig,
+    sample: Option<&MergeSample>,
+) -> Result<ExactPhases, SimError> {
+    let Some(sample) = sample else {
+        return Ok(ExactPhases {
+            merge: PhaseStats::default(),
+            merge_busy: 0,
+            merge_total_pe: 0,
+            result_nnz: 0,
+            spilled: false,
+        });
+    };
+    let tiles = (cfg.n_tiles / sample.stride).max(1);
     let channels = (cfg.hbm_channels * tiles / cfg.n_tiles).max(1);
     let shrunk = OuterSpaceConfig { n_tiles: tiles, hbm_channels: channels, ..cfg.clone() };
-    let (m, bd) = merge::simulate_merge_with_breakdown(&shrunk, &layout, &rows_info)?;
+    let (m, bd) = merge::simulate_merge_with_breakdown(&shrunk, &sample.layout, &sample.rows)?;
 
     let (num, den) = (sample.produced_total, sample.produced_sampled.max(1));
     let mut merged = scale_stats(&m, num, den);
@@ -472,7 +628,7 @@ fn structural_merge_outerspace(
         merge: merged,
         merge_busy: bd.busy_cycles,
         merge_total_pe: bd.total_pe_cycles(),
-        result_nnz: scale_u64(out_nnz, num, den),
+        result_nnz: scale_u64(sample.out_nnz, num, den),
         spilled: false,
     })
 }
@@ -511,58 +667,106 @@ fn fit_sparch_ops(leaf_elems: &[u64], ways: usize, target: u64) -> (Vec<SparchMe
     synth(hi)
 }
 
-/// SpArch merge from structural metadata: exact leaf sizes (one pass over
-/// the condensed operand), the spill regime from the leaf count, and a
-/// synthetic Huffman schedule whose shrink rate is fitted to the
-/// structural result-size estimate. The real merge-tree kernel replays the
-/// synthetic plan — its internal selection re-derivation matches because
-/// the synthesis runs the planner's own scheduling loop.
-fn structural_merge_sparch(
-    cfg: &OuterSpaceConfig,
-    a: &Csr,
-    b: &Csr,
-    sample: &RowSample,
-    stride: u32,
-) -> Result<ExactPhases, SimError> {
-    let condensed = outer::condense(a);
-    let leaf_elems: Vec<u64> = (0..condensed.width())
-        .map(|k| condensed.col(k).iter().map(|e| b.row_nnz(e.col) as u64).sum())
-        .collect();
-    let ways = (cfg.merge_tree_ways as usize).max(2);
-    let spilled = leaf_elems.len() > ways;
+/// The SpArch analog's workload-only inputs: exact leaf sizes (condensed
+/// column `k` streams `B`'s rows for the `k`-th non-zero of every row),
+/// the structural result-size estimate from the sampled rows' unions, both
+/// shrunk by the merge stride, and the multiply sample's row groups.
+///
+/// Above stride 1 the merge tree replays leaf *sizes* shrunk by `s` and
+/// scales the cycles back up: the leaf count, the spill regime and the
+/// Huffman schedule's shape are all size-ratio driven, and the tree's
+/// steady-state throughput is bandwidth-bound, so the replay cost is
+/// linear in the stream volume. The elementwise `div_ceil` keeps every
+/// non-empty leaf alive.
+fn prepare_sparch(a: &Csr, b: &Csr, opts: &IntervalOpts) -> SparchPrep {
+    let width = (0..a.nrows()).map(|r| a.row_nnz(r)).max().unwrap_or(0);
+    let mut leaf_elems = vec![0u64; width];
+    for r in 0..a.nrows() {
+        for (k, &j) in a.row(r).0.iter().enumerate() {
+            leaf_elems[k] += b.row_nnz(j) as u64;
+        }
+    }
     let total_products: u64 = leaf_elems.iter().sum();
     let max_leaf: u64 = leaf_elems.iter().copied().max().unwrap_or(0);
 
     // Structural result-size estimate from sampled row unions. The true
     // result holds every key of the largest leaf, so clamp from below.
-    let mut union = StampUnion::new(b.ncols());
+    let sample = sample_rows(a, b, opts.stride);
+    let mut union = PatternUnion::new(b.ncols());
     let out_sampled: u64 =
-        sample.rows.iter().map(|&i| union.row_out_len(a.row(i).0, b)).sum();
+        sample.rows.iter().map(|&i| union.count(b, a.row(i).0.iter().copied())).sum();
     let target = scale_u64(out_sampled, sample.produced_total, sample.produced_sampled.max(1))
         .clamp(max_leaf, total_products.max(max_leaf));
 
-    // Above stride 1, replay the tree on leaf *sizes* shrunk by `s` and
-    // scale the cycles back up: the leaf count, the spill regime and the
-    // Huffman schedule's shape are all size-ratio driven, and the tree's
-    // steady-state throughput is bandwidth-bound, so the replay cost is
-    // linear in the stream volume. The elementwise `div_ceil` keeps every
-    // non-empty leaf alive.
-    let s = stride.clamp(1, MERGE_STRIDE_CAP) as u64;
-    let leaf_scaled: Vec<u64> = leaf_elems.iter().map(|&e| e.div_ceil(s)).collect();
+    let shrink = opts.stride.clamp(1, MERGE_STRIDE_CAP) as u64;
+    let leaf_scaled: Vec<u64> = leaf_elems.iter().map(|&e| e.div_ceil(shrink)).collect();
     let total_scaled: u64 = leaf_scaled.iter().sum();
     let max_scaled: u64 = leaf_scaled.iter().copied().max().unwrap_or(0);
     let target_scaled =
-        scale_u64(target, 1, s).clamp(max_scaled, total_scaled.max(max_scaled));
+        scale_u64(target, 1, shrink).clamp(max_scaled, total_scaled.max(max_scaled));
 
-    let (ops, fin) = fit_sparch_ops(&leaf_scaled, ways, target_scaled);
+    // At stride 1 a single group replays the full multiply exactly;
+    // otherwise enough groups for a spread, capped by the sample size.
+    let groups_total = if opts.stride == 1 {
+        1
+    } else {
+        // 2..=6 groups: enough sizes for the intercept fit, and the
+        // geometric weight pattern would starve further groups anyway.
+        ((opts.windows / opts.stride).max(2) as usize)
+            .min(6)
+            .min(sample.rows.len().max(1))
+    };
+    // Interleaved assignment with geometric (1:2:4:...) group weights:
+    // rows cycle through a pattern that gives group g twice group g-1's
+    // share, so the group runs span a ~2^groups size range while staying
+    // compositionally homogeneous. Distinct sizes let the estimate's fit
+    // separate the per-run fill/drain intercept from the marginal cost.
+    let period = (1usize << groups_total) - 1;
+    let mut group_rows: Vec<Vec<Index>> = vec![Vec::new(); groups_total];
+    let mut group_ep: Vec<u64> = vec![0; groups_total];
+    for (si, &i) in sample.rows.iter().enumerate() {
+        let p: u64 = a.row(i).0.iter().map(|&k| b.row_nnz(k) as u64).sum();
+        let g = ((si % period) + 1).ilog2() as usize;
+        group_rows[g].push(i);
+        group_ep[g] += p;
+    }
+    let groups = group_rows
+        .iter()
+        .zip(group_ep)
+        .filter(|&(_, ep)| ep > 0)
+        .map(|(rows, ep)| (outer::condense(&csr_keep_rows(a, rows)), ep))
+        .collect();
+    SparchPrep {
+        shrink,
+        leaf_scaled,
+        target_scaled,
+        groups_total: groups_total as u32,
+        groups,
+    }
+}
+
+/// SpArch merge from structural metadata: the prepared leaf sizes, the
+/// spill regime from the leaf count, and a synthetic Huffman schedule for
+/// this tree's arity whose shrink rate is fitted to the structural result
+/// estimate. The real merge-tree kernel replays the synthetic plan — its
+/// internal selection re-derivation matches because the synthesis runs
+/// the planner's own scheduling loop.
+fn structural_merge_sparch(
+    cfg: &OuterSpaceConfig,
+    prep: &SparchPrep,
+) -> Result<ExactPhases, SimError> {
+    let ways = (cfg.merge_tree_ways as usize).max(2);
+    let spilled = prep.leaf_scaled.len() > ways;
+    let (ops, fin) = fit_sparch_ops(&prep.leaf_scaled, ways, prep.target_scaled);
     let plan = SparchPlan {
-        condensed_width: leaf_scaled.len(),
-        leaf_elems: leaf_scaled,
+        condensed_width: prep.leaf_scaled.len(),
+        leaf_elems: prep.leaf_scaled.clone(),
         spilled,
         ops,
         result_nnz: fin,
     };
     let (m, bd) = simulate_merge_tree(cfg, &plan)?;
+    let s = prep.shrink;
     Ok(ExactPhases {
         merge: scale_stats(&m, s, 1),
         merge_busy: bd.busy_cycles.saturating_mul(s),
@@ -578,7 +782,6 @@ struct MultiplyCtx<'x> {
     b: &'x Csr,
     /// Exact total elementary products (= flops of the full run).
     total_ep: u64,
-    opts: &'x IntervalOpts,
     /// Cycles already accounted (convert + merge): offsets the abort probe.
     base_cycles: u64,
 }
@@ -603,91 +806,96 @@ struct MultiplySample {
     ratios: Vec<f64>,
 }
 
-/// OuterSPACE multiply from sampled column windows of the shared
-/// dimension: heavy (>= [`HEAVY_WINDOW_FACTOR`] x the mean non-empty
-/// window's work) windows are always simulated, row-subsampled down to
-/// roughly one mean window's work and extrapolated within the window;
-/// light ones every stride-th, extrapolated by work weight. At stride 1
-/// everything runs at full fidelity, so no window is split out.
-fn sample_multiply_outerspace(
-    ctx: &MultiplyCtx<'_>,
+/// The OuterSPACE multiply's column windows of the shared dimension:
+/// heavy (>= [`HEAVY_WINDOW_FACTOR`] x the mean non-empty window's work)
+/// windows are always simulated, row-subsampled down to roughly one mean
+/// window's work; light ones every stride-th. At stride 1 everything runs
+/// at full fidelity, so no window is split out.
+fn plan_windows(
     a_cc: &Csc,
-    probe: &mut dyn AbortProbe,
-) -> Result<MultiplySample, SimError> {
-    let (cfg, b, opts) = (ctx.cfg, ctx.b, ctx.opts);
+    b: &Csr,
+    work: &[u64],
+    total_ep: u64,
+    opts: &IntervalOpts,
+) -> WindowPlan {
     let k_dim = a_cc.ncols();
     let width = k_dim.div_ceil(opts.windows.min(k_dim.max(1))).max(1);
     let mut windows: Vec<(Index, Index, u64)> = Vec::new();
     let mut lo = 0u32;
     while lo < k_dim {
         let hi = (lo + width).min(k_dim);
-        let mut ep = 0u64;
-        for k in lo..hi {
-            ep += a_cc.col_nnz(k) as u64 * b.row_nnz(k) as u64;
-        }
-        windows.push((lo, hi, ep));
+        windows.push((lo, hi, work[lo as usize..hi as usize].iter().sum()));
         lo = hi;
     }
 
-    struct WinPlan {
-        lo: Index,
-        hi: Index,
-        ep: u64,
-        heavy: bool,
-        /// Row-subsample factor (keep every r-th row of `A`); 1 = whole window.
-        r: u32,
-        simulate: bool,
-    }
     let nonempty_ct = windows.iter().filter(|w| w.2 > 0).count() as u128;
-    let mut ms =
-        MultiplySample { windows_total: windows.len() as u32, ..MultiplySample::default() };
-    let mut plan: Vec<WinPlan> = Vec::new();
+    let mut plan = WindowPlan {
+        windows_total: windows.len() as u32,
+        windows_nonempty: 0,
+        light_ep_total: 0,
+        sampled: Vec::new(),
+    };
     let mut light_idx = 0usize;
     for &(w_lo, w_hi, ep) in &windows {
         if ep == 0 {
             continue;
         }
-        ms.windows_nonempty += 1;
+        plan.windows_nonempty += 1;
         let heavy = opts.stride > 1
-            && ep as u128 * nonempty_ct >= HEAVY_WINDOW_FACTOR * ctx.total_ep as u128;
-        let r = if heavy {
-            ((ep as u128 * nonempty_ct).div_ceil(ctx.total_ep.max(1) as u128)) as u32
-        } else {
-            1
-        };
+            && ep as u128 * nonempty_ct >= HEAVY_WINDOW_FACTOR * total_ep as u128;
         let simulate = heavy || {
             let pick = light_idx % opts.stride as usize == 0;
             light_idx += 1;
             pick
         };
         if !heavy {
-            ms.light_ep_total += ep;
+            plan.light_ep_total += ep;
         }
-        plan.push(WinPlan { lo: w_lo, hi: w_hi, ep, heavy, r, simulate });
-    }
-
-    for w in &plan {
-        if !w.simulate {
+        if !simulate {
             continue;
         }
+        let b_w = csr_row_window(b, w_lo, w_hi);
+        let a_w_full = csc_col_window(a_cc, w_lo, w_hi);
+        // Heavy windows keep every r-th row of A: the work shrinks ~r-fold
+        // while the hub columns keep their relative weight. Falls back to
+        // the whole window if the filter would leave it empty.
+        let r = if heavy {
+            ((ep as u128 * nonempty_ct).div_ceil(total_ep.max(1) as u128)) as u32
+        } else {
+            1
+        };
+        let (a_w, ep_sim) = if r > 1 {
+            let f = csc_filter_rows(&a_w_full, r);
+            let ep_sub: u64 =
+                (0..f.ncols()).map(|j| f.col_nnz(j) as u64 * b_w.row_nnz(j) as u64).sum();
+            if ep_sub == 0 { (a_w_full, ep) } else { (f, ep_sub) }
+        } else {
+            (a_w_full, ep)
+        };
+        plan.sampled.push(SampledWindow { a: a_w, b: b_w, ep, ep_sim, heavy });
+    }
+    plan
+}
+
+/// OuterSPACE multiply from the planned column windows: each heavy window
+/// is extrapolated within itself, light ones by work weight.
+fn sample_multiply_outerspace(
+    ctx: &MultiplyCtx<'_>,
+    plan: &WindowPlan,
+    probe: &mut dyn AbortProbe,
+) -> Result<MultiplySample, SimError> {
+    let cfg = ctx.cfg;
+    let mut ms = MultiplySample {
+        windows_total: plan.windows_total,
+        windows_nonempty: plan.windows_nonempty,
+        light_ep_total: plan.light_ep_total,
+        ..MultiplySample::default()
+    };
+    for w in &plan.sampled {
         let so_far = ctx.base_cycles + ms.heavy.cycles + ms.light.cycles;
         if probe.should_abort(so_far) {
             return Err(SimError::Aborted { phase: "interval", frontier: so_far });
         }
-        let b_w = csr_row_window(b, w.lo, w.hi);
-        let a_w_full = csc_col_window(a_cc, w.lo, w.hi);
-        // Heavy windows keep every r-th row of A: the work shrinks ~r-fold
-        // while the hub columns keep their relative weight. Falls back to
-        // the whole window if the filter would leave it empty.
-        let (a_w, ep_sim) = if w.r > 1 {
-            let f = csc_filter_rows(&a_w_full, w.r);
-            let ep_sub: u64 = (0..f.ncols())
-                .map(|j| f.col_nnz(j) as u64 * b_w.row_nnz(j) as u64)
-                .sum();
-            if ep_sub == 0 { (a_w_full, w.ep) } else { (f, ep_sub) }
-        } else {
-            (a_w_full, w.ep)
-        };
         let mut mem = MemorySystem::for_multiply(cfg);
         let mut obs = EngineAbort { offset: so_far, probe: &mut *probe };
         let mut pes = PeArray::new(
@@ -695,8 +903,8 @@ fn sample_multiply_outerspace(
             cfg.pes_per_tile as usize,
             cfg.outstanding_requests as usize,
         );
-        let mut layout = IntermediateLayout::new(a_w.nrows());
-        let kernel = MultiplyKernel::new(&a_w, &b_w, &mut layout);
+        let mut layout = IntermediateLayout::new(w.a.nrows());
+        let kernel = MultiplyKernel::new(&w.a, &w.b, &mut layout);
         let (stats, bd) = engine::run_kernel_observed(cfg, &mut mem, &mut pes, kernel, &mut obs)?;
         ms.windows_sampled += 1;
         ms.busy += bd.busy_cycles;
@@ -704,24 +912,24 @@ fn sample_multiply_outerspace(
         ms.occ_weighted += bd.mean_channel_occupancy() * w.ep as f64;
         ms.occ_ep += w.ep;
         if w.heavy {
-            ms.heavy_ep_sim += ep_sim;
+            ms.heavy_ep_sim += w.ep_sim;
             // Extrapolate within the window: its own exact work over the
             // work the row-subsample kept.
-            add_stats(&mut ms.heavy, &scale_stats(&stats, w.ep, ep_sim));
+            add_stats(&mut ms.heavy, &scale_stats(&stats, w.ep, w.ep_sim));
         } else {
             ms.ratios.push(stats.cycles as f64 / w.ep as f64);
-            ms.light_ep_sampled += ep_sim;
+            ms.light_ep_sampled += w.ep_sim;
             add_stats(&mut ms.light, &stats);
         }
     }
     Ok(ms)
 }
 
-/// SpArch-analog multiply from row-sampled operands: the shared
-/// [`RowSample`] (every stride-th non-empty `A` row) split into a few
-/// interleaved row groups, each run against the *full* `B` and
-/// extrapolated by exact work weight, with the group-to-group cycle
-/// ratios feeding the error bar.
+/// SpArch-analog multiply from row-sampled operands: the prepared row
+/// groups (every stride-th non-empty `A` row, split into a few interleaved
+/// groups), each run against the *full* `B` and extrapolated by exact
+/// work weight, with the group-to-group cycle ratios feeding the error
+/// bar.
 ///
 /// Row sampling preserves what makes the SpArch multiply expensive:
 /// condensed column `k` of a row sample is a row-subset of the full
@@ -735,54 +943,24 @@ fn sample_multiply_outerspace(
 /// no ratio-estimator skew.
 fn sample_multiply_sparch(
     ctx: &MultiplyCtx<'_>,
-    a: &Csr,
-    sample: &RowSample,
+    prep: &SparchPrep,
     spilled: bool,
     probe: &mut dyn AbortProbe,
 ) -> Result<MultiplySample, SimError> {
-    let (cfg, b, opts) = (ctx.cfg, ctx.b, ctx.opts);
-    // At stride 1 a single group replays the full multiply exactly;
-    // otherwise enough groups for a spread, capped by the sample size.
-    let groups = if opts.stride == 1 {
-        1
-    } else {
-        // 2..=6 groups: enough sizes for the intercept fit, and the
-        // geometric weight pattern would starve further groups anyway.
-        ((opts.windows / opts.stride).max(2) as usize)
-            .min(6)
-            .min(sample.rows.len().max(1))
-    };
-    // Interleaved assignment with geometric (1:2:4:...) group weights:
-    // rows cycle through a pattern that gives group g twice group g-1's
-    // share, so the group runs span a ~2^groups size range while staying
-    // compositionally homogeneous. Distinct sizes let the post-loop fit
-    // separate the per-run fill/drain intercept from the marginal cost.
-    let period = (1usize << groups) - 1;
-    let mut group_rows: Vec<Vec<Index>> = vec![Vec::new(); groups];
-    let mut group_ep: Vec<u64> = vec![0; groups];
-    for (si, &i) in sample.rows.iter().enumerate() {
-        let p: u64 = a.row(i).0.iter().map(|&k| b.row_nnz(k) as u64).sum();
-        let g = ((si % period) + 1).ilog2() as usize;
-        group_rows[g].push(i);
-        group_ep[g] += p;
-    }
+    let (cfg, b) = (ctx.cfg, ctx.b);
     let mut ms = MultiplySample {
-        windows_total: groups as u32,
+        windows_total: prep.groups_total,
         light_ep_total: ctx.total_ep,
         ..MultiplySample::default()
     };
-    let mut fit_pts: Vec<(f64, f64)> = Vec::with_capacity(groups);
-    for (rows, &ep) in group_rows.iter().zip(&group_ep) {
-        if ep == 0 {
-            continue;
-        }
+    let mut fit_pts: Vec<(f64, f64)> = Vec::with_capacity(prep.groups.len());
+    for (condensed, ep) in &prep.groups {
+        let ep = *ep;
         ms.windows_nonempty += 1;
         let so_far = ctx.base_cycles + ms.light.cycles;
         if probe.should_abort(so_far) {
             return Err(SimError::Aborted { phase: "interval", frontier: so_far });
         }
-        let a_g = csr_keep_rows(a, rows);
-        let condensed = outer::condense(&a_g);
         let mut mem = MemorySystem::for_multiply(cfg);
         let mut obs = EngineAbort { offset: so_far, probe: &mut *probe };
         let mut pes = PeArray::new(
@@ -792,7 +970,7 @@ fn sample_multiply_sparch(
         );
         // Run in the full run's spill regime: partials round-trip DRAM
         // iff the full leaf set exceeds the tree.
-        let kernel = CondensedMultiplyKernel::new(&condensed, b, spilled);
+        let kernel = CondensedMultiplyKernel::new(condensed, b, spilled);
         let (stats, bd) = engine::run_kernel_observed(cfg, &mut mem, &mut pes, kernel, &mut obs)?;
         ms.windows_sampled += 1;
         ms.busy += bd.busy_cycles;
@@ -835,7 +1013,9 @@ fn sample_multiply_sparch(
 /// Estimates a full `C = A x B` run on `cfg` from structurally derived
 /// non-multiply phases plus a sampled multiply: column windows (all heavy
 /// windows, every stride-th light window) for OuterSPACE, interleaved
-/// `A`-row groups for the SpArch analog.
+/// `A`-row groups for the SpArch analog. A one-off [`estimate_prepared`]:
+/// callers that estimate one workload under many configurations should
+/// build its [`Prepared`] once instead.
 ///
 /// See the module docs for the methodology. `probe` receives monotone
 /// lower bounds on the final estimated total cycles and may abort the
@@ -857,18 +1037,37 @@ pub fn estimate_spgemm(
     opts: &IntervalOpts,
     probe: &mut dyn AbortProbe,
 ) -> Result<IntervalEstimate, SimError> {
-    assert!(opts.windows > 0 && opts.stride > 0, "interval opts must be positive");
-    outerspace_sparse::ops::check_spgemm_dims((a.nrows(), a.ncols()), (b.nrows(), b.ncols()))
-        .map_err(outerspace_sparse::SparseError::from)?;
-    let k_dim = a.ncols();
+    estimate_prepared(cfg, a, b, &Prepared::new(a, b, opts)?, probe)
+}
 
-    // Shared-dimension work weights: ep(k) = nnz(A[:,k]) * nnz(B[k,:]).
-    let (a_cc, conv) = outer::csr_to_csc_via_outer(a);
-    let total_ep: u64 = (0..k_dim).map(|k| a_cc.col_nnz(k) as u64 * b.row_nnz(k) as u64).sum();
+/// [`estimate_spgemm`] on a [`Prepared`] workload at its sampling
+/// parameters: runs only the configuration-dependent work — the
+/// conversion, merge and sampled multiply engines, the SpArch analog's
+/// Huffman fit for this tree's arity, and the extrapolation — building
+/// the machine's part of `prep` first if no earlier estimate did.
+///
+/// # Errors
+///
+/// As [`estimate_spgemm`], plus a merge row with more than `u32::MAX`
+/// collisions ([`SimError::MergeCountOverflow`]) when the OuterSPACE part
+/// is built.
+///
+/// # Panics
+///
+/// Panics if `a` and `b` are not the operands `prep` was built from.
+pub fn estimate_prepared(
+    cfg: &OuterSpaceConfig,
+    a: &Csr,
+    b: &Csr,
+    prep: &Prepared,
+    probe: &mut dyn AbortProbe,
+) -> Result<IntervalEstimate, SimError> {
+    prep.check_operands(a, b);
+    let total_ep = prep.total_ep;
 
     // Conversion is cheap relative to multiply: simulate it exactly
     // (OuterSPACE only, and only when a full run would charge it).
-    let convert_stats = if cfg.machine == MachineKind::OuterSpace && !conv.skipped_symmetric {
+    let convert_stats = if cfg.machine == MachineKind::OuterSpace && !prep.skipped_symmetric {
         Some(convert::simulate_convert(cfg, a)?)
     } else {
         None
@@ -880,24 +1079,25 @@ pub fn estimate_spgemm(
     // (column windows for OuterSPACE, row groups for the SpArch analog).
     let (exact, ms) = match cfg.machine {
         MachineKind::OuterSpace => {
-            let exact = structural_merge_outerspace(cfg, a, &a_cc, b, opts.stride)?;
+            let part = prep.outerspace(a, b)?;
+            let exact = structural_merge_outerspace(cfg, part.merge.as_ref())?;
             let base_cycles = convert_cycles + exact.merge.cycles;
             if probe.should_abort(base_cycles) {
                 return Err(SimError::Aborted { phase: "interval", frontier: base_cycles });
             }
-            let ctx = MultiplyCtx { cfg, b, total_ep, opts, base_cycles };
-            let ms = sample_multiply_outerspace(&ctx, &a_cc, probe)?;
+            let ctx = MultiplyCtx { cfg, b, total_ep, base_cycles };
+            let ms = sample_multiply_outerspace(&ctx, &part.windows, probe)?;
             (exact, ms)
         }
         MachineKind::SpArch => {
-            let sample = sample_rows(a, b, opts.stride);
-            let exact = structural_merge_sparch(cfg, a, b, &sample, opts.stride)?;
+            let part = prep.sparch(a, b);
+            let exact = structural_merge_sparch(cfg, part)?;
             let base_cycles = convert_cycles + exact.merge.cycles;
             if probe.should_abort(base_cycles) {
                 return Err(SimError::Aborted { phase: "interval", frontier: base_cycles });
             }
-            let ctx = MultiplyCtx { cfg, b, total_ep, opts, base_cycles };
-            let ms = sample_multiply_sparch(&ctx, a, &sample, exact.spilled, probe)?;
+            let ctx = MultiplyCtx { cfg, b, total_ep, base_cycles };
+            let ms = sample_multiply_sparch(&ctx, part, exact.spilled, probe)?;
             (exact, ms)
         }
     };
@@ -1126,6 +1326,46 @@ mod tests {
             }
             other => panic!("expected Aborted, got {other}"),
         }
+    }
+
+    #[test]
+    fn shared_preparation_matches_a_fresh_one_per_config() {
+        // One `Prepared` serves both machines and every config, in any
+        // order; each estimate equals the one-off estimate of its config.
+        let a = rmat::graph500(256, 3000, 31);
+        let opts = IntervalOpts { windows: 32, stride: 4 };
+        let shared = Prepared::new(&a, &a, &opts).unwrap();
+        let mut cfgs = Vec::new();
+        for (n_tiles, hbm_channels, merge_tree_ways) in [(16, 16, 64), (8, 4, 2), (16, 32, 16)] {
+            for machine in [MachineKind::SpArch, MachineKind::OuterSpace] {
+                cfgs.push(OuterSpaceConfig {
+                    machine,
+                    n_tiles,
+                    hbm_channels,
+                    merge_tree_ways,
+                    ..OuterSpaceConfig::default()
+                });
+            }
+        }
+        for cfg in &cfgs {
+            let from_shared =
+                estimate_prepared(cfg, &a, &a, &shared, &mut NoAbortProbe).unwrap();
+            let fresh = estimate_spgemm(cfg, &a, &a, &opts, &mut NoAbortProbe).unwrap();
+            assert_eq!(format!("{from_shared:?}"), format!("{fresh:?}"), "{cfg:?}");
+        }
+        let flops = outerspace_sparse::ops::spgemm_flops(&a, &a).unwrap();
+        assert_eq!(shared.work_total() * 2, flops);
+        assert_eq!(shared.work(), alloc::product_sizes(&a.to_csc(), &a));
+    }
+
+    #[test]
+    #[should_panic(expected = "operands differ")]
+    fn a_preparation_refuses_other_operands() {
+        let a = uniform::matrix(64, 64, 300, 3);
+        let other = uniform::matrix(64, 64, 301, 4);
+        let prep = Prepared::new(&a, &a, &IntervalOpts::default()).unwrap();
+        let cfg = OuterSpaceConfig::default();
+        let _ = estimate_prepared(&cfg, &other, &other, &prep, &mut NoAbortProbe);
     }
 
     #[test]

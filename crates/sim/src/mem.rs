@@ -93,16 +93,19 @@ impl CacheModel {
     pub fn access(&mut self, block: u64) -> bool {
         debug_assert_ne!(block, EMPTY, "block address collides with the empty tag");
         let base = self.sets.rem(block) * self.ways;
-        let set = &mut self.tags[base..base + self.ways];
-        // A hit moves the block to the front; a miss shifts every way back
-        // one, dropping the least recently used block (or an empty way).
-        let (hit, end) = match set.iter().position(|&b| b == block) {
-            Some(pos) => (true, pos),
-            None => (false, self.ways - 1),
-        };
-        set.copy_within(0..end, 1);
-        set[0] = block;
-        hit
+        // The block goes to the front and every way before it moves back
+        // one, in a single pass that stops at the hit; a miss shifts the
+        // whole set, dropping the least recently used block (or an empty
+        // way).
+        let mut carry = block;
+        for slot in &mut self.tags[base..base + self.ways] {
+            let prev = std::mem::replace(slot, carry);
+            if prev == block {
+                return true;
+            }
+            carry = prev;
+        }
+        false
     }
 
     /// Empties the cache (phase transitions reconfigure and flush, §5.4).
@@ -438,6 +441,27 @@ mod tests {
         assert!(!c.access(4)); // evicts 2 (LRU after 0 was touched)
         assert!(c.access(0));
         assert!(!c.access(2)); // was evicted
+    }
+
+    #[test]
+    fn cache_matches_a_reference_lru() {
+        // 16 blocks, 4 ways -> 4 sets, against a per-set most-recent-first
+        // list on a pseudo-random stream over 40 blocks.
+        let mut c = CacheModel::new(1024, 4, 64);
+        let mut sets: Vec<Vec<u64>> = vec![Vec::new(); 4];
+        let mut x = 12345u64;
+        for _ in 0..4000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let block = (x >> 33) % 40;
+            let set = &mut sets[(block % 4) as usize];
+            let pos = set.iter().position(|&b| b == block);
+            if let Some(p) = pos {
+                set.remove(p);
+            }
+            set.insert(0, block);
+            set.truncate(4);
+            assert_eq!(c.access(block), pos.is_some(), "block {block}");
+        }
     }
 
     #[test]

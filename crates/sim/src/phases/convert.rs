@@ -50,15 +50,21 @@ pub fn simulate_convert(cfg: &OuterSpaceConfig, a: &Csr) -> Result<PhaseStats, S
     let load = run_stream_phase("convert", cfg, &mut mem, &mut pes, load_items)?;
 
     // --- Conversion-merge: gather each column list into the CC arrays. ---
-    // Column lengths come from the transposed pointer structure; the
+    // Column lengths are counted in one pass over the column indices; the
     // per-column lists are pre-sorted by row (rows streamed in order), so
     // the merge is a gather with one cycle of bookkeeping per entry.
     let mut mem2 = MemorySystem::for_merge(cfg);
     let n_workers = (cfg.n_tiles * cfg.merge_pairs_per_tile()) as usize;
     let mut workers = PeArray::new(n_workers, 1, cfg.outstanding_requests as usize);
-    let at = a.transpose();
-    let col_ptr = at.row_ptr();
-    let merge_items = (0..at.nrows() as usize).filter_map(|c| {
+    let ncols = a.ncols() as usize;
+    let mut col_ptr = vec![0usize; ncols + 1];
+    for &c in a.col_indices() {
+        col_ptr[c as usize + 1] += 1;
+    }
+    for c in 0..ncols {
+        col_ptr[c + 1] += col_ptr[c];
+    }
+    let merge_items = (0..ncols).filter_map(|c| {
         let len = (col_ptr[c + 1] - col_ptr[c]) as u64;
         if len == 0 {
             return None;
