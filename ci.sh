@@ -147,8 +147,10 @@ echo "==> dse interval economics gate (>= 4x points/cpu-hour at <= 5% median cyc
 # full tier while its validated median |cycle error| stays <= 5%. The full
 # tier runs the row-wise functional product and the structural SpArch
 # plan, and the interval tier prepares each workload once per sweep, so
-# the ratio measures 8.6-14.0x (median 10.4x, quartiles 9.7-11.7x, 12
-# runs) on a 2-vCPU VM. Every run clears the floor, the lowest by 4.6x.
+# the ratio measures 6.4-10.9x (median 9.1x, quartiles 7.8-9.9x, 10
+# runs) on a 2-vCPU VM. The two-path row kernel made the full tier
+# cheaper, so the ratio fell from 8.3-13.1x (median 11.1x) at the commit
+# before it, run alternately. Every run clears the floor, the lowest by 1.6x.
 ./target/release/dse --space sparch_vs_ospace --tier interval --validate 2 \
     --min-speedup 4 --max-median-err 0.05 --min-within-bars 0.8 \
     --out "$DSE_OUT/economics"

@@ -7,6 +7,30 @@
 //! `B`'s rows when the matrix is regular, and (b) repeated fetches of the
 //! same rows-of-`B` across different output rows — the redundant traffic the
 //! outer-product method eliminates.
+//!
+//! All three entry points share one row kernel, which keeps a `u64` bitmap
+//! of touched columns and a dense accumulator holding `-0.0` in every column
+//! between rows. A pass over `a_i*` first reads the ends of the rows of `B`
+//! it visits: the row's products and the bitmap words they span. A row
+//! spanning under 4 words per product is *dense*, any other *sparse*; the
+//! rule is fixed, and both paths emit the same bits.
+//!
+//! * A dense row neither branches on a column's first touch nor sorts.
+//!   Every product is added to the accumulator: `-0.0 + p` is bitwise `p`
+//!   for every `p` (±0, ±inf and NaN included), so the first product is in
+//!   effect assigned, which is the summation contract [`spgemm`] documents.
+//!   Each column is stored at the end of the touched list unconditionally
+//!   and the list grows only when the column's bit was clear, so the list
+//!   needs `ncols + 1` slots. The row is gathered in column order by
+//!   walking the set bits of its span.
+//! * A sparse row assigns each column's first product and adds the later
+//!   ones, behind a branch on the column's bit: nearly every product is a
+//!   first touch, so the branch predicts well, and a first touch stores to
+//!   the accumulator without loading it. The row is gathered by sorting its
+//!   touched list, since walking its span would read more bitmap words than
+//!   it has products.
+//!
+//! Gathering an entry re-seeds its column with `-0.0` and clears its bit.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -22,8 +46,12 @@ use crate::TrafficStats;
 /// later ones are added in ascending `k`, and sums that cancel exactly stay
 /// as entries. That is the order in which the outer-product merge (§4.2)
 /// adds a `c_ij`'s partial products, so the result is bit-identical to the
-/// outer-product pipeline's, signed zeros and infinities included. The
-/// output arrays are sized exactly, with no growth slack.
+/// outer-product pipeline's, signed zeros and infinities included. Dense
+/// rows get the assignment without a branch by adding the first product to
+/// a `-0.0` seed and are gathered from the bitmap; sparse rows branch on
+/// first touch and are gathered by sorting (see the module docs). Neither
+/// changes a bit of the result. The output arrays are sized exactly, with
+/// no growth slack.
 ///
 /// # Errors
 ///
@@ -46,17 +74,13 @@ use crate::TrafficStats;
 pub fn spgemm(a: &Csr, b: &Csr) -> Result<(Csr, TrafficStats), SparseError> {
     check_shapes(a, b)?;
     let mut stats = TrafficStats::default();
-    let mut acc = vec![0.0 as Value; b.ncols() as usize];
-    let mut flags = vec![false; b.ncols() as usize];
-    let mut touched: Vec<Index> = Vec::new();
+    let mut rows = RowAcc::new(b.ncols());
     let mut row_ptr = Vec::with_capacity(a.nrows() as usize + 1);
     row_ptr.push(0usize);
     let mut cols = Vec::new();
     let mut vals = Vec::new();
     for i in 0..a.nrows() {
-        row_into(
-            a, b, i, &mut acc, &mut flags, &mut touched, &mut cols, &mut vals, &mut stats,
-        );
+        rows.row_into(a, b, i, &mut cols, &mut vals, &mut stats);
         row_ptr.push(cols.len());
     }
     cols.shrink_to_fit();
@@ -97,9 +121,7 @@ pub fn spgemm_parallel(
             let results = &results;
             let total_stats = &total_stats;
             scope.spawn(move || {
-                let mut acc = vec![0.0 as Value; b.ncols() as usize];
-                let mut flags = vec![false; b.ncols() as usize];
-                let mut touched: Vec<Index> = Vec::new();
+                let mut rows = RowAcc::new(b.ncols());
                 let mut stats = TrafficStats::default();
                 loop {
                     let blk = next_block.fetch_add(1, Ordering::Relaxed);
@@ -113,10 +135,7 @@ pub fn spgemm_parallel(
                     let mut sizes = Vec::with_capacity((hi - lo) as usize);
                     for i in lo..hi {
                         let before = cols.len();
-                        row_into(
-                            a, b, i, &mut acc, &mut flags, &mut touched, &mut cols,
-                            &mut vals, &mut stats,
-                        );
+                        rows.row_into(a, b, i, &mut cols, &mut vals, &mut stats);
                         sizes.push(cols.len() - before);
                     }
                     results.lock().expect("poisoned").push((blk, sizes, cols, vals));
@@ -151,7 +170,8 @@ pub fn spgemm_parallel(
 /// exactly-sized arrays. This is the inspector-executor structure of MKL's
 /// two-stage `mkl_sparse_sp2m` API: twice the traversal work, but no
 /// reallocation and a reusable inspection for repeated products with the
-/// same pattern.
+/// same pattern. Both passes run on the row kernel's bitmap, and the
+/// numeric pass is the row kernel [`spgemm`] runs.
 ///
 /// # Errors
 ///
@@ -159,109 +179,192 @@ pub fn spgemm_parallel(
 pub fn spgemm_two_phase(a: &Csr, b: &Csr) -> Result<(Csr, TrafficStats), SparseError> {
     check_shapes(a, b)?;
     let mut stats = TrafficStats::default();
+    let mut rows = RowAcc::new(b.ncols());
 
-    // --- Symbolic pass: per-row output nnz via a visited-flag accumulator.
-    let mut flags = vec![false; b.ncols() as usize];
-    let mut touched: Vec<Index> = Vec::new();
-    let mut row_ptr = vec![0usize; a.nrows() as usize + 1];
+    // --- Symbolic pass: per-row output nnz.
+    let mut row_ptr = Vec::with_capacity(a.nrows() as usize + 1);
+    row_ptr.push(0usize);
     for i in 0..a.nrows() {
-        let (a_cols, _) = a.row(i);
-        stats.bytes_touched += 12 * a_cols.len() as u64;
-        for &k in a_cols {
-            let (b_cols, _) = b.row(k);
-            // Symbolic pass touches indices only: 4 B per entry.
-            stats.bytes_touched += 4 * b_cols.len() as u64;
-            for &j in b_cols {
-                if !flags[j as usize] {
-                    flags[j as usize] = true;
-                    touched.push(j);
-                }
-            }
-        }
-        row_ptr[i as usize + 1] = row_ptr[i as usize] + touched.len();
-        for &j in &touched {
-            flags[j as usize] = false;
-        }
-        touched.clear();
+        let nnz = rows.row_nnz(a, b, i, &mut stats);
+        row_ptr.push(row_ptr[i as usize] + nnz);
     }
 
-    // --- Numeric pass: fill pre-sized arrays.
+    // --- Numeric pass: fill exactly sized arrays.
     let total = row_ptr[a.nrows() as usize];
-    let mut cols = vec![0 as Index; total];
-    let mut vals = vec![0.0 as Value; total];
-    let mut acc = vec![0.0 as Value; b.ncols() as usize];
-    let mut cursor = 0usize;
+    let mut cols = Vec::with_capacity(total);
+    let mut vals = Vec::with_capacity(total);
     for i in 0..a.nrows() {
-        let (a_cols, a_vals) = a.row(i);
-        stats.bytes_touched += 12 * a_cols.len() as u64;
-        for (&k, &a_ik) in a_cols.iter().zip(a_vals) {
-            let (b_cols, b_vals) = b.row(k);
-            stats.bytes_touched += 12 * b_cols.len() as u64;
-            for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
-                if !flags[j as usize] {
-                    flags[j as usize] = true;
-                    touched.push(j);
-                    acc[j as usize] = a_ik * b_kj;
-                } else {
-                    acc[j as usize] += a_ik * b_kj;
-                    stats.additions += 1;
-                }
-                stats.multiplies += 1;
-            }
-        }
-        touched.sort_unstable();
-        for &j in touched.iter() {
-            cols[cursor] = j;
-            vals[cursor] = acc[j as usize];
-            flags[j as usize] = false;
-            cursor += 1;
-        }
-        debug_assert_eq!(cursor, row_ptr[i as usize + 1]);
-        touched.clear();
+        rows.row_into(a, b, i, &mut cols, &mut vals, &mut stats);
+        debug_assert_eq!(cols.len(), row_ptr[i as usize + 1]);
     }
     stats.bytes_written = 12 * total as u64;
     Ok((Csr::from_raw_parts_unchecked(a.nrows(), b.ncols(), row_ptr, cols, vals), stats))
 }
 
-/// Computes one output row into `cols`/`vals` using the dense accumulator.
-#[allow(clippy::too_many_arguments)]
-fn row_into(
-    a: &Csr,
-    b: &Csr,
-    i: Index,
-    acc: &mut [Value],
-    flags: &mut [bool],
-    touched: &mut Vec<Index>,
-    cols: &mut Vec<Index>,
-    vals: &mut Vec<Value>,
-    stats: &mut TrafficStats,
-) {
-    let (a_cols, a_vals) = a.row(i);
-    stats.bytes_touched += 12 * a_cols.len() as u64;
-    for (&k, &a_ik) in a_cols.iter().zip(a_vals) {
-        let (b_cols, b_vals) = b.row(k);
-        // Every output row touching k re-reads row_k(B): the redundancy.
-        stats.bytes_touched += 12 * b_cols.len() as u64;
-        for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
-            let slot = j as usize;
-            if !flags[slot] {
-                flags[slot] = true;
-                touched.push(j);
-                acc[slot] = a_ik * b_kj;
-            } else {
-                acc[slot] += a_ik * b_kj;
-                stats.additions += 1;
+/// The accumulator's value between rows; see the module docs.
+const SEED: Value = -0.0;
+
+/// Whether a row whose products span bitmap words `wlo..=whi` is dense:
+/// under 4 words per product, so the bitmap walk reads at most 4 words per
+/// product the scatter already made.
+fn is_dense(wlo: Index, whi: Index, products: usize) -> bool {
+    ((whi - wlo + 1) as usize) < 4 * products
+}
+
+/// The row kernel's dense workspace for one `B`, reused across rows. Every
+/// column of `acc` holds [`SEED`] and every bit of `bits` is clear between
+/// rows.
+struct RowAcc {
+    acc: Vec<Value>,
+    bits: Vec<u64>,
+    /// The current row's distinct columns in first-touch order, with one
+    /// spare slot for [`RowAcc::mark`]'s unconditional store.
+    touched: Vec<Index>,
+}
+
+impl RowAcc {
+    fn new(ncols: Index) -> RowAcc {
+        let n = ncols as usize;
+        RowAcc { acc: vec![SEED; n], bits: vec![0; n.div_ceil(64)], touched: vec![0; n + 1] }
+    }
+
+    /// Marks column `j` touched, given `n` distinct columns so far, and
+    /// returns the new count: `j` is stored at slot `n` either way and kept
+    /// only if its bit was clear.
+    #[inline(always)]
+    fn mark(bits: &mut [u64], touched: &mut [Index], n: usize, j: Index) -> usize {
+        let (w, bit) = (j as usize >> 6, 1u64 << (j & 63));
+        let word = bits[w];
+        touched[n] = j;
+        bits[w] = word | bit;
+        n + usize::from(word & bit == 0)
+    }
+
+    /// Appends row `i` of `a · b` to `cols`/`vals`.
+    fn row_into(
+        &mut self,
+        a: &Csr,
+        b: &Csr,
+        i: Index,
+        cols: &mut Vec<Index>,
+        vals: &mut Vec<Value>,
+        stats: &mut TrafficStats,
+    ) {
+        let (a_cols, a_vals) = a.row(i);
+        stats.bytes_touched += 12 * a_cols.len() as u64;
+        // A CSR row's columns increase strictly, so the ends of the rows of
+        // B it visits bound the output row.
+        let (mut lo, mut hi, mut products) = (Index::MAX, 0, 0);
+        for &k in a_cols {
+            let (b_cols, _) = b.row(k);
+            // Every output row touching k re-reads row_k(B): the redundancy.
+            stats.bytes_touched += 12 * b_cols.len() as u64;
+            if let (Some(&first), Some(&last)) = (b_cols.first(), b_cols.last()) {
+                (lo, hi, products) = (lo.min(first), hi.max(last), products + b_cols.len());
             }
-            stats.multiplies += 1;
+        }
+        if products == 0 {
+            return;
+        }
+        let (wlo, whi) = (lo >> 6, hi >> 6);
+        let n = if is_dense(wlo, whi, products) {
+            let n = self.scatter_dense(a_cols, a_vals, b);
+            cols.reserve(n);
+            vals.reserve(n);
+            self.walk(wlo, whi, cols, vals);
+            n
+        } else {
+            let n = self.scatter_sparse(a_cols, a_vals, b);
+            cols.reserve(n);
+            vals.reserve(n);
+            self.sort_gather(n, cols, vals);
+            n
+        };
+        stats.multiplies += products as u64;
+        stats.additions += (products - n) as u64;
+    }
+
+    /// Adds every product to its column's accumulator, first touch or not,
+    /// and returns the row's distinct columns.
+    fn scatter_dense(&mut self, a_cols: &[Index], a_vals: &[Value], b: &Csr) -> usize {
+        let mut n = 0;
+        for (&k, &a_ik) in a_cols.iter().zip(a_vals) {
+            let (b_cols, b_vals) = b.row(k);
+            for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
+                n = Self::mark(&mut self.bits, &mut self.touched, n, j);
+                self.acc[j as usize] += a_ik * b_kj;
+            }
+        }
+        n
+    }
+
+    /// Assigns each column's first product and adds the later ones, and
+    /// returns the row's distinct columns. On a sparse row nearly every
+    /// product is a first touch, so the branch predicts well and the
+    /// accumulator is only stored, never loaded, on a first touch.
+    fn scatter_sparse(&mut self, a_cols: &[Index], a_vals: &[Value], b: &Csr) -> usize {
+        let mut n = 0;
+        for (&k, &a_ik) in a_cols.iter().zip(a_vals) {
+            let (b_cols, b_vals) = b.row(k);
+            for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
+                let (w, bit) = (j as usize >> 6, 1u64 << (j & 63));
+                if self.bits[w] & bit == 0 {
+                    self.bits[w] |= bit;
+                    self.touched[n] = j;
+                    n += 1;
+                    self.acc[j as usize] = a_ik * b_kj;
+                } else {
+                    self.acc[j as usize] += a_ik * b_kj;
+                }
+            }
+        }
+        n
+    }
+
+    /// Appends the touched columns of words `wlo..=whi` in column order with
+    /// their sums by walking the set bits, and leaves the workspace clean.
+    fn walk(&mut self, wlo: Index, whi: Index, cols: &mut Vec<Index>, vals: &mut Vec<Value>) {
+        for (w, word) in (wlo..).zip(&mut self.bits[wlo as usize..=whi as usize]) {
+            let mut rest = std::mem::take(word);
+            while rest != 0 {
+                let j = w << 6 | rest.trailing_zeros();
+                rest &= rest - 1;
+                cols.push(j);
+                vals.push(std::mem::replace(&mut self.acc[j as usize], SEED));
+            }
         }
     }
-    touched.sort_unstable();
-    for &j in touched.iter() {
-        cols.push(j);
-        vals.push(acc[j as usize]);
-        flags[j as usize] = false;
+
+    /// Appends the `n` touched columns in column order with their sums by
+    /// sorting them, and leaves the workspace clean.
+    fn sort_gather(&mut self, n: usize, cols: &mut Vec<Index>, vals: &mut Vec<Value>) {
+        let touched = &mut self.touched[..n];
+        touched.sort_unstable();
+        for &j in touched.iter() {
+            cols.push(j);
+            vals.push(std::mem::replace(&mut self.acc[j as usize], SEED));
+            self.bits[j as usize >> 6] = 0;
+        }
     }
-    touched.clear();
+
+    /// Row `i`'s output nnz: the symbolic pass of [`spgemm_two_phase`],
+    /// which reads indices only (4 B per entry of `B`).
+    fn row_nnz(&mut self, a: &Csr, b: &Csr, i: Index, stats: &mut TrafficStats) -> usize {
+        let (a_cols, _) = a.row(i);
+        stats.bytes_touched += 12 * a_cols.len() as u64;
+        let mut n = 0;
+        for &k in a_cols {
+            let (b_cols, _) = b.row(k);
+            stats.bytes_touched += 4 * b_cols.len() as u64;
+            for &j in b_cols {
+                n = Self::mark(&mut self.bits, &mut self.touched, n, j);
+            }
+        }
+        for &j in &self.touched[..n] {
+            self.bits[j as usize >> 6] = 0;
+        }
+        n
+    }
 }
 
 fn check_shapes(a: &Csr, b: &Csr) -> Result<(), SparseError> {
@@ -272,6 +375,7 @@ fn check_shapes(a: &Csr, b: &Csr) -> Result<(), SparseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use outerspace_gen::rng::{Rng, SmallRng};
     use outerspace_gen::uniform;
     use outerspace_sparse::ops;
 
@@ -364,6 +468,167 @@ mod tests {
         assert_eq!(c.col_indices(), &[0, 1]);
         let bits: Vec<u64> = c.values().iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits, [(-0.0f64).to_bits(), 0.0f64.to_bits()]);
+    }
+
+    /// The row kernel before the bitmap rewrite, kept as the reference of
+    /// [`row_kernel_is_bitwise_the_assign_then_sort_kernel`]: a `bool` flag
+    /// per column, the first product assigned and later ones added, the
+    /// touched columns sorted.
+    fn assign_then_sort(a: &Csr, b: &Csr) -> (Csr, TrafficStats) {
+        let mut stats = TrafficStats::default();
+        let n = b.ncols() as usize;
+        let (mut acc, mut flags, mut touched) = (vec![0.0; n], vec![false; n], Vec::new());
+        let (mut row_ptr, mut cols, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+        for i in 0..a.nrows() {
+            let (a_cols, a_vals) = a.row(i);
+            stats.bytes_touched += 12 * a_cols.len() as u64;
+            for (&k, &a_ik) in a_cols.iter().zip(a_vals) {
+                let (b_cols, b_vals) = b.row(k);
+                stats.bytes_touched += 12 * b_cols.len() as u64;
+                for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
+                    let slot = j as usize;
+                    if !flags[slot] {
+                        flags[slot] = true;
+                        touched.push(j);
+                        acc[slot] = a_ik * b_kj;
+                    } else {
+                        acc[slot] += a_ik * b_kj;
+                        stats.additions += 1;
+                    }
+                    stats.multiplies += 1;
+                }
+            }
+            touched.sort_unstable();
+            for &j in &touched {
+                cols.push(j);
+                vals.push(acc[j as usize]);
+                flags[j as usize] = false;
+            }
+            touched.clear();
+            row_ptr.push(cols.len());
+        }
+        stats.bytes_written = 12 * cols.len() as u64;
+        (Csr::from_raw_parts_unchecked(a.nrows(), b.ncols(), row_ptr, cols, vals), stats)
+    }
+
+    fn assert_same_bits(got: &Csr, want: &Csr, what: &str) {
+        assert_eq!((got.nrows(), got.ncols()), (want.nrows(), want.ncols()), "{what}");
+        assert_eq!(got.row_ptr(), want.row_ptr(), "{what}");
+        assert_eq!(got.col_indices(), want.col_indices(), "{what}");
+        let bits = |c: &Csr| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    /// A seeded random operand. Its rows are empty, a clustered window of
+    /// columns, or a few columns scattered over the whole width, half of
+    /// them from four columns spread across it, so that sparse rows of a
+    /// product also sum several products into one column; a third of its
+    /// values come from a palette whose products and sums reach ±0, ±inf,
+    /// NaN and exact cancellations. The rows in `full` hold every column.
+    fn operand(nrows: Index, ncols: Index, full: &[Index], rng: &mut SmallRng) -> Csr {
+        const PALETTE: [Value; 8] =
+            [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.0, -1.0, 0.5, -2.0];
+        let mut row_ptr = vec![0usize];
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        for r in 0..nrows {
+            let mut picks: Vec<Index> = match rng.gen_range(0..4u32) {
+                _ if full.contains(&r) => (0..ncols).collect(),
+                0 => Vec::new(),
+                1 => {
+                    let len = rng.gen_range(1..=ncols.min(300));
+                    let start = rng.gen_range(0..=ncols - len);
+                    (start..start + len).filter(|_| rng.gen_range(0..3u32) > 0).collect()
+                }
+                _ => {
+                    let spread = [0, ncols / 3, 2 * ncols / 3, ncols - 1];
+                    (0..rng.gen_range(1..=4u32))
+                        .map(|_| match rng.gen_range(0..8u32) {
+                            0..=3 => rng.gen_range(0..ncols),
+                            s => spread[s as usize - 4],
+                        })
+                        .collect()
+                }
+            };
+            picks.sort_unstable();
+            picks.dedup();
+            for j in picks {
+                cols.push(j);
+                vals.push(if rng.gen_range(0..3u32) == 0 {
+                    PALETTE[rng.gen_range(0..PALETTE.len())]
+                } else {
+                    rng.gen::<f64>() * 2.0 - 1.0
+                });
+            }
+            row_ptr.push(cols.len());
+        }
+        Csr::new(nrows, ncols, row_ptr, cols, vals).expect("sorted unique columns")
+    }
+
+    #[test]
+    fn row_kernel_is_bitwise_the_assign_then_sort_kernel() {
+        // c_0 = inf·1 + (−inf)·1 = NaN, c_1 = (−0) + (−0), c_2 = 1 − 1.
+        let a = Csr::new(1, 2, vec![0, 2], vec![0, 1], vec![1.0, 1.0]).unwrap();
+        let inf = f64::INFINITY;
+        let b_vals = vec![inf, -0.0, 1.0, -inf, -0.0, -1.0];
+        let b = Csr::new(2, 3, vec![0, 3, 6], vec![0, 1, 2, 0, 1, 2], b_vals).unwrap();
+        let mut cases = vec![(a, b)];
+        // (rows of A, inner dimension, columns of B, seeds). Row 0 of A and
+        // rows 0 and 1 of B are full, so row 0 of C touches every column of B
+        // with at least twice as many products as columns.
+        let shapes = [
+            (7, 2, 1, 3),
+            (40, 17, 63, 3),
+            (33, 64, 64, 3),
+            (64, 20, 65, 3),
+            (50, 80, 1000, 3),
+            (300, 40, 4096, 2),
+            (30, 12, 200_000, 1),
+        ];
+        for (m, p, ncols, seeds) in shapes {
+            for seed in 0..seeds {
+                let mut rng = SmallRng::seed_from_u64(seed * 1000 + u64::from(ncols));
+                let a = operand(m, p, &[0], &mut rng);
+                let b = operand(p, ncols, &[0, 1], &mut rng);
+                cases.push((a, b));
+            }
+        }
+        let mut seen = [false; 4]; // NaN, ±inf, -0.0, an exact cancellation's +0.0
+        let mut rows = [0usize; 3]; // dense, sparse, sparse with a sum of products
+        for (a, b) in &cases {
+            let what = format!("{}x{} · {}x{}", a.nrows(), a.ncols(), b.nrows(), b.ncols());
+            let (want, want_stats) = assign_then_sort(a, b);
+            let (c, stats) = spgemm(a, b).unwrap();
+            assert_same_bits(&c, &want, &what);
+            assert_eq!(stats, want_stats, "{what}");
+            for threads in [1, 3] {
+                let (cp, sp) = spgemm_parallel(a, b, threads).unwrap();
+                assert_same_bits(&cp, &c, &format!("{what}, {threads} threads"));
+                assert_eq!(sp, stats, "{what}, {threads} threads");
+            }
+            let (c2, s2) = spgemm_two_phase(a, b).unwrap();
+            assert_same_bits(&c2, &c, &format!("{what}, two-phase"));
+            let symbolic = 12 * a.nnz() as u64 + 4 * stats.multiplies;
+            assert_eq!(s2, TrafficStats { bytes_touched: stats.bytes_touched + symbolic, ..stats });
+            for v in c.values() {
+                seen[0] |= v.is_nan();
+                seen[1] |= v.is_infinite();
+                seen[2] |= v.to_bits() == (-0.0f64).to_bits();
+                seen[3] |= v.to_bits() == 0;
+            }
+            // Which path each row takes, from the operands: its products,
+            // and its span, which is that of its row of C.
+            for i in 0..a.nrows() {
+                let products: usize = a.row(i).0.iter().map(|&k| b.row(k).0.len()).sum();
+                let c_cols = c.row(i).0;
+                if let (Some(&lo), Some(&hi)) = (c_cols.first(), c_cols.last()) {
+                    let sparse = !is_dense(lo >> 6, hi >> 6, products);
+                    rows[usize::from(sparse)] += 1;
+                    rows[2] += usize::from(sparse && products > c_cols.len());
+                }
+            }
+        }
+        assert_eq!(seen, [true; 4], "the operands reach every special value");
+        assert!(rows.iter().all(|&r| r > 0), "rows: dense, sparse, sparse with a sum {rows:?}");
     }
 
     #[test]

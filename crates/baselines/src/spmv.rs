@@ -22,7 +22,7 @@ pub fn spmv_dense_vector(
     a: &Csr,
     x: &SparseVector,
 ) -> Result<(Vec<Value>, TrafficStats), SparseError> {
-    outerspace_sparse::ops::check_spmv_dims((a.nrows(), a.ncols()), x.len)?;
+    outerspace_sparse::ops::check_spmv_dims((a.nrows(), a.ncols()), x.len.into())?;
     let dense = x.to_dense();
     // Whole matrix + whole dense vector are touched, always.
     let mut stats = TrafficStats {
@@ -55,7 +55,7 @@ pub fn spmv_index_match(
     a: &Csr,
     x: &SparseVector,
 ) -> Result<(SparseVector, TrafficStats), SparseError> {
-    outerspace_sparse::ops::check_spmv_dims((a.nrows(), a.ncols()), x.len)?;
+    outerspace_sparse::ops::check_spmv_dims((a.nrows(), a.ncols()), x.len.into())?;
     let mut stats = TrafficStats {
         bytes_touched: 12 * a.nnz() as u64 + 12 * x.nnz() as u64,
         ..Default::default()

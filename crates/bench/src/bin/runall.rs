@@ -14,7 +14,7 @@
 use std::panic::AssertUnwindSafe;
 
 use outerspace_bench::harnesses::{Harness, RunallArgs};
-use outerspace_bench::runner::git_rev;
+use outerspace_bench::runner::{git_dirty, git_rev};
 use outerspace_bench::{HarnessOpts, USAGE};
 use outerspace_json::{dump, Json, ToJson};
 
@@ -189,6 +189,7 @@ fn main() {
         ("resume".into(), Json::Bool(shared.resume)),
         ("max_retries".into(), Json::UInt(cli.max_retries as u64)),
         ("git_rev".into(), Json::Str(git_rev())),
+        ("git_dirty".into(), git_dirty()),
         ("wall_s".into(), Json::Float(started.elapsed().as_secs_f64())),
         ("harnesses_total".into(), Json::UInt(reports.len() as u64)),
         ("clean".into(), Json::UInt((reports.len() - with_failures - crashed) as u64)),

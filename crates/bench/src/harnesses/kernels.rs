@@ -34,7 +34,7 @@ use outerspace::outer::{
 use outerspace::prelude::*;
 use outerspace::sim::phases::{merge as merge_phase, multiply as multiply_phase, sparch};
 
-use crate::runner::{git_rev, CaseResult, Runner};
+use crate::runner::{git_dirty, git_rev, CaseResult, Runner};
 use crate::{fmt_secs, HarnessDefaults, HarnessOpts};
 use outerspace_json::{dump, Json, ToJson};
 
@@ -317,6 +317,7 @@ fn trajectory_entry(opts: &HarnessOpts, rows: &[CellRow], repin: bool, probe_s: 
         ("schema".into(), Json::UInt(1)),
         ("kind".into(), Json::Str("kernels-perf".into())),
         ("git_rev".into(), Json::Str(git_rev())),
+        ("git_dirty".into(), git_dirty()),
         ("seed".into(), Json::UInt(opts.seed)),
         ("scale".into(), Json::UInt(opts.scale as u64)),
         ("threads".into(), Json::UInt(THREADS as u64)),
@@ -543,9 +544,11 @@ pub fn check(opts: &HarnessOpts) -> i32 {
         }
     };
 
+    let dirty = matches!(baseline.get("git_dirty"), Some(Json::Bool(true)));
     println!(
-        "# perf gate vs baseline rev {} (>{:.0}% calibrated median regression fails)",
+        "# perf gate vs baseline rev {}{} (>{:.0}% calibrated median regression fails)",
         baseline.get("git_rev").and_then(Json::as_str).unwrap_or("unknown"),
+        if dirty { " plus uncommitted changes" } else { "" },
         (REL_TOL - 1.0) * 100.0
     );
     println!(

@@ -88,14 +88,17 @@ fn watchdog_trips_on_slow_case() {
 }
 
 /// Strips fields that legitimately differ between an interrupted-then-resumed
-/// run and an uninterrupted one (wall-clock timings and the cache marker).
+/// run and an uninterrupted one (wall-clock timings, the cache marker and the
+/// tree's revision and dirty flag).
 fn normalized(doc: &Json) -> Json {
     fn strip(j: &Json) -> Json {
         match j {
             Json::Obj(fields) => Json::Obj(
                 fields
                     .iter()
-                    .filter(|(k, _)| k != "wall_s" && k != "cached" && k != "git_rev")
+                    .filter(|(k, _)| {
+                        !matches!(k.as_str(), "wall_s" | "cached" | "git_rev" | "git_dirty")
+                    })
                     .map(|(k, v)| (k.clone(), strip(v)))
                     .collect(),
             ),

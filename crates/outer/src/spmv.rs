@@ -46,7 +46,7 @@ pub struct SpmvStats {
 /// # }
 /// ```
 pub fn spmv(a: &Csc, x: &SparseVector) -> Result<(SparseVector, SpmvStats), SparseError> {
-    outerspace_sparse::ops::check_spmv_dims((a.nrows(), a.ncols()), x.len)?;
+    outerspace_sparse::ops::check_spmv_dims((a.nrows(), a.ncols()), x.len.into())?;
     let mut stats = SpmvStats::default();
     let mut acc = vec![0.0 as Value; a.nrows() as usize];
     let mut touched: Vec<Index> = Vec::new();
@@ -84,7 +84,7 @@ pub fn spmv(a: &Csc, x: &SparseVector) -> Result<(SparseVector, SpmvStats), Spar
 ///
 /// Returns [`SparseError::ShapeMismatch`] if `x.len() != a.ncols()`.
 pub fn spmv_dense(a: &Csc, x: &[Value]) -> Result<(Vec<Value>, SpmvStats), SparseError> {
-    outerspace_sparse::ops::check_spmv_dims((a.nrows(), a.ncols()), x.len() as Index)?;
+    outerspace_sparse::ops::check_spmv_dims((a.nrows(), a.ncols()), x.len() as u64)?;
     let mut stats = SpmvStats::default();
     let mut y = vec![0.0 as Value; a.nrows() as usize];
     for (k, &xk) in x.iter().enumerate() {

@@ -94,12 +94,12 @@ impl Dense {
         assert_eq!(self.ncols, rhs.nrows, "inner dimensions must agree");
         let mut out = Dense::zeros(self.nrows, rhs.ncols);
         for i in 0..self.nrows as usize {
-            for k in 0..self.ncols as usize {
-                let a = self.data[i * self.ncols as usize + k];
+            for k in 0..self.ncols {
+                let a = self.data[i * self.ncols as usize + k as usize];
                 if a == 0.0 {
                     continue;
                 }
-                let rrow = rhs.row(k as Index);
+                let rrow = rhs.row(k);
                 let orow = &mut out.data[i * rhs.ncols as usize..(i + 1) * rhs.ncols as usize];
                 for (o, &b) in orow.iter_mut().zip(rrow) {
                     *o += a * b;

@@ -125,12 +125,12 @@ pub fn read_coo<R: Read>(reader: R) -> Result<Coo, SparseError> {
             message: "entry count exceeds addressable memory".into(),
         }
     })?;
-    if nrows > Index::MAX as u64 || ncols > Index::MAX as u64 {
+    let (Ok(nrows), Ok(ncols)) = (Index::try_from(nrows), Index::try_from(ncols)) else {
         return Err(SparseError::Parse {
             line: size_line_no,
             message: "matrix dimensions exceed 32-bit index range".into(),
         });
-    }
+    };
 
     let cap = match symmetry {
         Symmetry::General => nnz,
@@ -144,8 +144,7 @@ pub fn read_coo<R: Read>(reader: R) -> Result<Coo, SparseError> {
     // Pre-allocate a bounded amount and let `Vec` growth absorb honest
     // large files.
     const MAX_PREALLOC_ENTRIES: usize = 1 << 24;
-    let mut coo =
-        Coo::with_capacity(nrows as Index, ncols as Index, cap.min(MAX_PREALLOC_ENTRIES));
+    let mut coo = Coo::with_capacity(nrows, ncols, cap.min(MAX_PREALLOC_ENTRIES));
     let mut seen = 0usize;
     for (i, line) in lines {
         let line = line?;
@@ -171,7 +170,7 @@ pub fn read_coo<R: Read>(reader: R) -> Result<Coo, SparseError> {
             line: i + 1,
             message: format!("invalid column index '{c}'"),
         })?;
-        if r == 0 || c == 0 || r > nrows || c > ncols {
+        if r == 0 || c == 0 || r > u64::from(nrows) || c > u64::from(ncols) {
             return Err(SparseError::Parse {
                 line: i + 1,
                 message: format!("entry ({r},{c}) outside 1..={nrows} x 1..={ncols}"),
@@ -189,7 +188,9 @@ pub fn read_coo<R: Read>(reader: R) -> Result<Coo, SparseError> {
                 message: format!("invalid value '{raw}'"),
             })?
         };
-        let (r0, c0) = ((r - 1) as Index, (c - 1) as Index);
+        // 1 <= r <= nrows and 1 <= c <= ncols, so both fit an `Index`.
+        let zero_based = |x: u64| Index::try_from(x - 1).expect("checked against the dimensions");
+        let (r0, c0) = (zero_based(r), zero_based(c));
         coo.push(r0, c0, v);
         if r0 != c0 {
             match symmetry {
@@ -249,8 +250,19 @@ pub fn write_csr<W: Write>(mut writer: W, m: &Csr) -> Result<(), SparseError> {
 /// [`SparseError::Parse`] on malformed lines, [`SparseError::Io`] on read
 /// failures.
 pub fn read_edge_list<R: Read>(reader: R, symmetric: bool) -> Result<Coo, SparseError> {
-    let mut edges: Vec<(u64, u64)> = Vec::new();
-    let mut max_id = 0u64;
+    // An id must leave room for the dimension `max id + 1` in an `Index`.
+    let node_id = |raw: &str, role: &str, line: usize| -> Result<Index, SparseError> {
+        let id: u64 = raw.parse().map_err(|_| SparseError::Parse {
+            line,
+            message: format!("invalid {role} id '{raw}'"),
+        })?;
+        Index::try_from(id).ok().filter(|&id| id < Index::MAX).ok_or_else(|| SparseError::Parse {
+            line,
+            message: format!("node id {id} exceeds 32-bit index range"),
+        })
+    };
+    let mut edges: Vec<(Index, Index)> = Vec::new();
+    let mut max_id = 0;
     for (i, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
         let t = line.trim();
@@ -267,30 +279,17 @@ pub fn read_edge_list<R: Read>(reader: R, symmetric: bool) -> Result<Coo, Sparse
                 })
             }
         };
-        let u: u64 = u.parse().map_err(|_| SparseError::Parse {
-            line: i + 1,
-            message: format!("invalid source id '{u}'"),
-        })?;
-        let v: u64 = v.parse().map_err(|_| SparseError::Parse {
-            line: i + 1,
-            message: format!("invalid target id '{v}'"),
-        })?;
+        let (u, v) = (node_id(u, "source", i + 1)?, node_id(v, "target", i + 1)?);
         max_id = max_id.max(u).max(v);
         edges.push((u, v));
     }
-    if max_id >= Index::MAX as u64 {
-        return Err(SparseError::Parse {
-            line: 0,
-            message: "node ids exceed 32-bit index range".into(),
-        });
-    }
-    let n = if edges.is_empty() { 0 } else { max_id as Index + 1 };
+    let n = if edges.is_empty() { 0 } else { max_id + 1 };
     let cap = if symmetric { edges.len().saturating_mul(2) } else { edges.len() };
     let mut coo = Coo::with_capacity(n, n, cap);
     for (u, v) in edges {
-        coo.push(u as Index, v as Index, 1.0);
+        coo.push(u, v, 1.0);
         if symmetric && u != v {
-            coo.push(v as Index, u as Index, 1.0);
+            coo.push(v, u, 1.0);
         }
     }
     Ok(coo)
@@ -420,6 +419,36 @@ mod tests {
     fn edge_list_rejects_garbage() {
         assert!(read_edge_list("0 x\n".as_bytes(), false).is_err());
         assert!(read_edge_list("lonely\n".as_bytes(), false).is_err());
+    }
+
+    fn out_of_index_range_at(err: &SparseError, at: usize) -> bool {
+        matches!(err, SparseError::Parse { line, message }
+            if *line == at && message.contains("32-bit index range"))
+    }
+
+    #[test]
+    fn edge_list_ids_must_leave_room_for_the_dimension() {
+        let top = u64::from(Index::MAX);
+        let m = read_edge_list(format!("0 {}\n", top - 1).as_bytes(), false).unwrap();
+        assert_eq!((m.nrows(), m.ncols()), (Index::MAX, Index::MAX));
+        for id in [top, top + 1, 1 << 40] {
+            let err = read_edge_list(format!("0 1\n{id} 0\n").as_bytes(), false).unwrap_err();
+            assert!(out_of_index_range_at(&err, 2), "{id}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn matrix_market_dimensions_must_fit_an_index() {
+        let top = u64::from(Index::MAX);
+        let header = "%%MatrixMarket matrix coordinate real general";
+        let src = format!("{header}\n{top} 1 1\n{top} 1 2.0\n");
+        let m = read_coo(src.as_bytes()).unwrap();
+        assert_eq!(m.nrows(), Index::MAX);
+        assert_eq!(m.iter().next(), Some((Index::MAX - 1, 0, 2.0)));
+        for (r, c) in [(top + 1, 1), (1, top + 1), (1 << 40, 1)] {
+            let err = read_coo(format!("{header}\n{r} {c} 0\n").as_bytes()).unwrap_err();
+            assert!(out_of_index_range_at(&err, 2), "{r}x{c}: {err:?}");
+        }
     }
 
     #[test]

@@ -41,6 +41,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::cast_possible_truncation)]
 
 mod coo;
 mod csc;

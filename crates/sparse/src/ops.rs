@@ -70,7 +70,7 @@ pub fn spgemm_reference(a: &Csr, b: &Csr) -> Result<Csr, SparseError> {
 ///
 /// Returns [`SparseError::ShapeMismatch`] if `x.len() != a.ncols()`.
 pub fn spmv_reference(a: &Csr, x: &[Value]) -> Result<Vec<Value>, SparseError> {
-    check_spmv_dims((a.nrows(), a.ncols()), x.len() as Index)?;
+    check_spmv_dims((a.nrows(), a.ncols()), x.len() as u64)?;
     let mut y = vec![0.0 as Value; a.nrows() as usize];
     for (yi, i) in y.iter_mut().zip(0..a.nrows()) {
         let (cols, vals) = a.row(i);
@@ -209,16 +209,18 @@ pub fn check_spgemm_dims(
 
 /// The shared SpMV operand guard: `y = A × x` requires
 /// `x_len == a_shape.1` (the vector is reported as an `x_len × 1` operand).
+/// The length is a `u64`, so a dense vector longer than `Index::MAX` is a
+/// mismatch rather than a wrapped length.
 ///
 /// # Errors
 ///
 /// Returns a typed [`DimError`] when the vector length differs from the
 /// matrix column count.
-pub fn check_spmv_dims(a_shape: (Index, Index), x_len: Index) -> Result<(), DimError> {
-    if x_len != a_shape.1 {
+pub fn check_spmv_dims(a_shape: (Index, Index), x_len: u64) -> Result<(), DimError> {
+    if x_len != u64::from(a_shape.1) {
         return Err(DimError {
             left: (a_shape.0 as u64, a_shape.1 as u64),
-            right: (x_len as u64, 1),
+            right: (x_len, 1),
             op: "spmv",
         });
     }
@@ -303,6 +305,14 @@ mod tests {
     fn spmv_shape_mismatch() {
         let a = sample_a();
         assert!(spmv_reference(&a, &[1.0]).is_err());
+    }
+
+    #[test]
+    fn spmv_guard_does_not_wrap_long_vectors() {
+        // A length of 2^32 + 4 wrapped to an `Index` would read 4.
+        let err = check_spmv_dims((4, 4), (1 << 32) + 4).unwrap_err();
+        assert_eq!(err.right, ((1 << 32) + 4, 1));
+        assert!(check_spmv_dims((4, 4), 4).is_ok());
     }
 
     #[test]

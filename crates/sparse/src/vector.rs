@@ -28,16 +28,22 @@ pub struct SparseVector {
 
 impl SparseVector {
     /// Builds a sparse vector from a dense slice, dropping exact zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dense` is longer than `Index::MAX`, which no `Index`
+    /// length can describe.
     pub fn from_dense(dense: &[Value]) -> Self {
+        let len = Index::try_from(dense.len()).expect("a sparse vector's length fits an Index");
         let mut indices = Vec::new();
         let mut values = Vec::new();
-        for (i, &v) in dense.iter().enumerate() {
+        for (i, &v) in (0..len).zip(dense) {
             if v != 0.0 {
-                indices.push(i as Index);
+                indices.push(i);
                 values.push(v);
             }
         }
-        SparseVector { len: dense.len() as Index, indices, values }
+        SparseVector { len, indices, values }
     }
 
     /// Number of stored entries.
